@@ -1,6 +1,7 @@
 package crimson_test
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -69,7 +70,7 @@ func TestRepositoryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	projected, err := st.ProjectNames([]string{"Bha", "Lla", "Syn"})
+	projected, err := st.ProjectNamesCtx(context.Background(), []string{"Bha", "Lla", "Syn"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestRepositoryLifecycle(t *testing.T) {
 		t.Fatalf("species data = %q, %v", seq, err)
 	}
 	// The load was recorded in the history.
-	hist, err := repo.Queries.History(0)
+	hist, err := repo.Queries.HistoryCtx(context.Background(), 0)
 	if err != nil || len(hist) == 0 {
 		t.Fatalf("history = %v, %v", hist, err)
 	}

@@ -6,6 +6,7 @@
 package crimson_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -362,6 +363,7 @@ func relstoreBenchRows(n int) []relstore.Row {
 // GOMAXPROCS goroutines hammering one stored tree — the concurrent read
 // path the RWMutex discipline unlocks. -cpu 1,4,8 sweeps the parallelism.
 func BenchmarkParallelRead(b *testing.B) {
+	ctx := context.Background()
 	t := yuleTree(b, 20000)
 	s := treestore.OpenMem()
 	defer s.Close()
@@ -374,14 +376,14 @@ func BenchmarkParallelRead(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			r := rand.New(rand.NewSource(17))
 			for pb.Next() {
-				if _, err := st.LCA(r.Intn(nodes), r.Intn(nodes)); err != nil {
+				if _, err := st.LCACtx(ctx, r.Intn(nodes), r.Intn(nodes)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	})
 	b.Run("Project-k=20", func(b *testing.B) {
-		rows, err := st.SampleUniform(20, rand.New(rand.NewSource(18)))
+		rows, err := st.SampleUniformCtx(ctx, 20, rand.New(rand.NewSource(18)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -392,7 +394,7 @@ func BenchmarkParallelRead(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := st.Project(ids); err != nil {
+				if _, err := st.ProjectCtx(ctx, ids); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -402,7 +404,7 @@ func BenchmarkParallelRead(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			r := rand.New(rand.NewSource(19))
 			for pb.Next() {
-				if _, err := st.SampleUniform(50, r); err != nil {
+				if _, err := st.SampleUniformCtx(ctx, 50, r); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -482,6 +484,7 @@ func BenchmarkE11EndToEnd(b *testing.B) {
 // time-frontier queries — supporting the paper's "argues against main
 // memory techniques" design point.
 func BenchmarkE12DiskAccess(b *testing.B) {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "crimson-bench-*")
 	if err != nil {
 		b.Fatal(err)
@@ -502,14 +505,14 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 	r := rand.New(rand.NewSource(10))
 	b.Run("NodeByName", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := st.NodeByName(names[i%len(names)]); err != nil {
+			if _, err := st.NodeByNameCtx(ctx, names[i%len(names)]); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Children", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := st.Children(pairs[i%len(pairs)][0]); err != nil {
+			if _, err := st.ChildrenCtx(ctx, pairs[i%len(pairs)][0]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -517,13 +520,13 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 	b.Run("LCA", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			if _, err := st.LCA(p[0], p[1]); err != nil {
+			if _, err := st.LCACtx(ctx, p[0], p[1]); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Project-k=50", func(b *testing.B) {
-		rows, err := st.SampleUniform(50, r)
+		rows, err := st.SampleUniformCtx(ctx, 50, r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -533,7 +536,7 @@ func BenchmarkE12DiskAccess(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := st.Project(ids); err != nil {
+			if _, err := st.ProjectCtx(ctx, ids); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,14 +4,13 @@
 // safe for concurrent use by many goroutines (it holds no mutable state
 // beyond the underlying http.Client).
 //
-// The API is context-first: every operation has a Ctx form that honors
+// The API is context-first: every operation takes a context and honors
 // cancellation and deadlines end to end — cancelling the context aborts
 // the request, and the server aborts the underlying scan and releases its
-// snapshot. The legacy context-free methods remain as thin deprecated
-// wrappers over the Ctx forms. A default per-request timeout can be set
-// with WithTimeout; large results stream: Export via ExportReader, and the
-// tree/history listings via auto-paginating iterators (TreesIter,
-// HistoryIter) over the server's cursor pagination.
+// snapshot. A default per-request timeout can be set with WithTimeout;
+// large results stream: Export via ExportReader, and the tree/history
+// listings via auto-paginating iterators (TreesIter, HistoryIter) over the
+// server's cursor pagination.
 package client
 
 import (
@@ -231,22 +230,12 @@ func (c *Client) HealthCtx(ctx context.Context) error {
 	return c.get(ctx, "/healthz", nil, nil)
 }
 
-// Health reports whether the server answers /healthz.
-//
-// Deprecated: use HealthCtx.
-func (c *Client) Health() error { return c.HealthCtx(context.Background()) }
-
 // StatsCtx fetches the server's counter snapshot.
 func (c *Client) StatsCtx(ctx context.Context) (Stats, error) {
 	var s Stats
 	err := c.get(ctx, "/v1/stats", nil, &s)
 	return s, err
 }
-
-// Stats fetches the server's counter snapshot.
-//
-// Deprecated: use StatsCtx.
-func (c *Client) Stats() (Stats, error) { return c.StatsCtx(context.Background()) }
 
 // MetricsCtx fetches the raw Prometheus exposition text of /metrics.
 func (c *Client) MetricsCtx(ctx context.Context) (string, error) {
@@ -290,11 +279,6 @@ func (c *Client) TreesCtx(ctx context.Context) ([]TreeInfo, error) {
 	}
 	return resp.Trees, nil
 }
-
-// Trees lists the stored trees.
-//
-// Deprecated: use TreesCtx, or TreesIter to paginate large repositories.
-func (c *Client) Trees() ([]TreeInfo, error) { return c.TreesCtx(context.Background()) }
 
 // TreesPage fetches one page of the name-sorted tree listing: up to limit
 // trees starting after cursor ("" = from the beginning). It returns the
@@ -353,24 +337,10 @@ func (c *Client) InfoCtx(ctx context.Context, name string) (TreeInfo, error) {
 	return info, err
 }
 
-// Info fetches one stored tree's summary.
-//
-// Deprecated: use InfoCtx.
-func (c *Client) Info(name string) (TreeInfo, error) {
-	return c.InfoCtx(context.Background(), name)
-}
-
 // LoadNewickCtx streams a Newick body into the repository under name with
 // depth bound f (f <= 0 uses the server default).
 func (c *Client) LoadNewickCtx(ctx context.Context, name string, f int, body io.Reader) (TreeInfo, error) {
 	return c.load(ctx, name, f, "newick", body)
-}
-
-// LoadNewick streams a Newick body into the repository.
-//
-// Deprecated: use LoadNewickCtx.
-func (c *Client) LoadNewick(name string, f int, body io.Reader) (TreeInfo, error) {
-	return c.LoadNewickCtx(context.Background(), name, f, body)
 }
 
 // LoadTreeCtx serializes an in-memory tree and loads it.
@@ -378,24 +348,10 @@ func (c *Client) LoadTreeCtx(ctx context.Context, name string, f int, t *phylo.T
 	return c.LoadNewickCtx(ctx, name, f, strings.NewReader(newick.String(t)))
 }
 
-// LoadTree serializes an in-memory tree and loads it.
-//
-// Deprecated: use LoadTreeCtx.
-func (c *Client) LoadTree(name string, f int, t *phylo.Tree) (TreeInfo, error) {
-	return c.LoadTreeCtx(context.Background(), name, f, t)
-}
-
 // LoadNexusCtx streams a NEXUS document (trees + sequences) into the
 // repository under name.
 func (c *Client) LoadNexusCtx(ctx context.Context, name string, f int, body io.Reader) (TreeInfo, error) {
 	return c.load(ctx, name, f, "nexus", body)
-}
-
-// LoadNexus streams a NEXUS document into the repository.
-//
-// Deprecated: use LoadNexusCtx.
-func (c *Client) LoadNexus(name string, f int, body io.Reader) (TreeInfo, error) {
-	return c.LoadNexusCtx(context.Background(), name, f, body)
 }
 
 func (c *Client) load(ctx context.Context, name string, f int, format string, body io.Reader) (TreeInfo, error) {
@@ -412,11 +368,6 @@ func (c *Client) load(ctx context.Context, name string, f int, format string, bo
 func (c *Client) DeleteCtx(ctx context.Context, name string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/trees/"+url.PathEscape(name), nil, nil, "", nil)
 }
-
-// Delete removes a stored tree and its species data.
-//
-// Deprecated: use DeleteCtx.
-func (c *Client) Delete(name string) error { return c.DeleteCtx(context.Background(), name) }
 
 // cancelReadCloser couples a response body to the request's cancel func so
 // a default-timeout context is released exactly when the stream is closed.
@@ -487,13 +438,6 @@ func (c *Client) ExportCtx(ctx context.Context, name string) (*phylo.Tree, error
 	return newick.Parse(string(raw))
 }
 
-// Export fetches the complete stored tree as an in-memory tree.
-//
-// Deprecated: use ExportCtx, or ExportReader for a streaming download.
-func (c *Client) Export(name string) (*phylo.Tree, error) {
-	return c.ExportCtx(context.Background(), name)
-}
-
 // --- queries ---------------------------------------------------------------
 
 // ProjectCtx projects the stored tree over the given species and returns
@@ -505,13 +449,6 @@ func (c *Client) ProjectCtx(ctx context.Context, name string, speciesNames []str
 	return resp, err
 }
 
-// Project projects the stored tree over the given species.
-//
-// Deprecated: use ProjectCtx.
-func (c *Client) Project(name string, speciesNames []string) (ProjectResponse, error) {
-	return c.ProjectCtx(context.Background(), name, speciesNames)
-}
-
 // ProjectTreeCtx projects and parses the result into an in-memory tree.
 func (c *Client) ProjectTreeCtx(ctx context.Context, name string, speciesNames []string) (*phylo.Tree, error) {
 	resp, err := c.ProjectCtx(ctx, name, speciesNames)
@@ -519,13 +456,6 @@ func (c *Client) ProjectTreeCtx(ctx context.Context, name string, speciesNames [
 		return nil, err
 	}
 	return newick.Parse(resp.Newick)
-}
-
-// ProjectTree projects and parses the result into an in-memory tree.
-//
-// Deprecated: use ProjectTreeCtx.
-func (c *Client) ProjectTree(name string, speciesNames []string) (*phylo.Tree, error) {
-	return c.ProjectTreeCtx(context.Background(), name, speciesNames)
 }
 
 // LCACtx returns the least common ancestor of species a and b.
@@ -536,13 +466,6 @@ func (c *Client) LCACtx(ctx context.Context, name, a, b string) (LCAResponse, er
 	return resp, err
 }
 
-// LCA returns the least common ancestor of species a and b.
-//
-// Deprecated: use LCACtx.
-func (c *Client) LCA(name, a, b string) (LCAResponse, error) {
-	return c.LCACtx(context.Background(), name, a, b)
-}
-
 // SampleUniformCtx draws k distinct species uniformly (seeded, so a fixed
 // seed reproduces the draw).
 func (c *Client) SampleUniformCtx(ctx context.Context, name string, k int, seed int64) ([]string, error) {
@@ -550,13 +473,6 @@ func (c *Client) SampleUniformCtx(ctx context.Context, name string, k int, seed 
 	err := c.get(ctx, "/v1/trees/"+url.PathEscape(name)+"/sample",
 		url.Values{"k": {strconv.Itoa(k)}, "seed": {strconv.FormatInt(seed, 10)}}, &resp)
 	return resp.Species, err
-}
-
-// SampleUniform draws k distinct species uniformly.
-//
-// Deprecated: use SampleUniformCtx.
-func (c *Client) SampleUniform(name string, k int, seed int64) ([]string, error) {
-	return c.SampleUniformCtx(context.Background(), name, k, seed)
 }
 
 // SampleWithTimeCtx samples k species with respect to evolutionary time.
@@ -570,13 +486,6 @@ func (c *Client) SampleWithTimeCtx(ctx context.Context, name string, time float6
 	return resp.Species, err
 }
 
-// SampleWithTime samples k species with respect to evolutionary time.
-//
-// Deprecated: use SampleWithTimeCtx.
-func (c *Client) SampleWithTime(name string, time float64, k int, seed int64) ([]string, error) {
-	return c.SampleWithTimeCtx(context.Background(), name, time, k, seed)
-}
-
 // CladeCtx returns the minimal spanning clade of the given species.
 func (c *Client) CladeCtx(ctx context.Context, name string, speciesNames []string) (CladeResponse, error) {
 	var resp CladeResponse
@@ -585,26 +494,12 @@ func (c *Client) CladeCtx(ctx context.Context, name string, speciesNames []strin
 	return resp, err
 }
 
-// Clade returns the minimal spanning clade of the given species.
-//
-// Deprecated: use CladeCtx.
-func (c *Client) Clade(name string, speciesNames []string) (CladeResponse, error) {
-	return c.CladeCtx(context.Background(), name, speciesNames)
-}
-
 // MatchCtx runs the tree pattern match query against the stored tree.
 func (c *Client) MatchCtx(ctx context.Context, name string, pattern *phylo.Tree) (MatchResponse, error) {
 	var resp MatchResponse
 	err := c.do(ctx, http.MethodPost, "/v1/trees/"+url.PathEscape(name)+"/match", nil,
 		strings.NewReader(newick.String(pattern)), "text/plain", &resp)
 	return resp, err
-}
-
-// Match runs the tree pattern match query against the stored tree.
-//
-// Deprecated: use MatchCtx.
-func (c *Client) Match(name string, pattern *phylo.Tree) (MatchResponse, error) {
-	return c.MatchCtx(context.Background(), name, pattern)
 }
 
 // BenchCtx runs the Benchmark Manager on the server against a stored gold
@@ -624,13 +519,6 @@ func (c *Client) BenchCtx(ctx context.Context, name string, req BenchRequest) (*
 	return &rep, nil
 }
 
-// Bench runs the Benchmark Manager on the server.
-//
-// Deprecated: use BenchCtx.
-func (c *Client) Bench(name string, req BenchRequest) (*BenchReport, error) {
-	return c.BenchCtx(context.Background(), name, req)
-}
-
 // --- species data ----------------------------------------------------------
 
 func speciesPath(tree, sp, kind string) string {
@@ -647,13 +535,6 @@ func (c *Client) PutSpeciesDataCtx(ctx context.Context, tree, sp, kind string, d
 		bytes.NewReader(data), "application/octet-stream", nil)
 }
 
-// PutSpeciesData stores one species-data record.
-//
-// Deprecated: use PutSpeciesDataCtx.
-func (c *Client) PutSpeciesData(tree, sp, kind string, data []byte) error {
-	return c.PutSpeciesDataCtx(context.Background(), tree, sp, kind, data)
-}
-
 // SpeciesDataCtx fetches one species-data record.
 func (c *Client) SpeciesDataCtx(ctx context.Context, tree, sp, kind string) ([]byte, error) {
 	var raw []byte
@@ -661,23 +542,9 @@ func (c *Client) SpeciesDataCtx(ctx context.Context, tree, sp, kind string) ([]b
 	return raw, err
 }
 
-// SpeciesData fetches one species-data record.
-//
-// Deprecated: use SpeciesDataCtx.
-func (c *Client) SpeciesData(tree, sp, kind string) ([]byte, error) {
-	return c.SpeciesDataCtx(context.Background(), tree, sp, kind)
-}
-
 // DeleteSpeciesDataCtx removes one species-data record.
 func (c *Client) DeleteSpeciesDataCtx(ctx context.Context, tree, sp, kind string) error {
 	return c.do(ctx, http.MethodDelete, speciesPath(tree, sp, kind), nil, nil, "", nil)
-}
-
-// DeleteSpeciesData removes one species-data record.
-//
-// Deprecated: use DeleteSpeciesDataCtx.
-func (c *Client) DeleteSpeciesData(tree, sp, kind string) error {
-	return c.DeleteSpeciesDataCtx(context.Background(), tree, sp, kind)
 }
 
 // ListSpeciesDataCtx lists all records stored for one species.
@@ -687,13 +554,6 @@ func (c *Client) ListSpeciesDataCtx(ctx context.Context, tree, sp string) ([]Spe
 	return resp.Records, err
 }
 
-// ListSpeciesData lists all records stored for one species.
-//
-// Deprecated: use ListSpeciesDataCtx.
-func (c *Client) ListSpeciesData(tree, sp string) ([]SpeciesRecord, error) {
-	return c.ListSpeciesDataCtx(context.Background(), tree, sp)
-}
-
 // --- history ---------------------------------------------------------------
 
 // HistoryCtx returns up to limit most recent query-history entries,
@@ -701,13 +561,6 @@ func (c *Client) ListSpeciesData(tree, sp string) ([]SpeciesRecord, error) {
 func (c *Client) HistoryCtx(ctx context.Context, limit int) ([]HistoryEntry, error) {
 	entries, _, err := c.HistoryPage(ctx, "", limit)
 	return entries, err
-}
-
-// History returns up to limit most recent query-history entries.
-//
-// Deprecated: use HistoryCtx, or HistoryIter to walk long histories.
-func (c *Client) History(limit int) ([]HistoryEntry, error) {
-	return c.HistoryCtx(context.Background(), limit)
 }
 
 // HistoryPage fetches one page of the history, newest first: up to limit
@@ -765,23 +618,9 @@ func (c *Client) HistoryByKindCtx(ctx context.Context, kind string) ([]HistoryEn
 	return resp.Entries, err
 }
 
-// HistoryByKind returns all entries of one query kind, oldest first.
-//
-// Deprecated: use HistoryByKindCtx.
-func (c *Client) HistoryByKind(kind string) ([]HistoryEntry, error) {
-	return c.HistoryByKindCtx(context.Background(), kind)
-}
-
 // HistoryEntryByIDCtx fetches one history entry.
 func (c *Client) HistoryEntryByIDCtx(ctx context.Context, id int64) (HistoryEntry, error) {
 	var e HistoryEntry
 	err := c.get(ctx, "/v1/history/"+strconv.FormatInt(id, 10), nil, &e)
 	return e, err
-}
-
-// HistoryEntryByID fetches one history entry.
-//
-// Deprecated: use HistoryEntryByIDCtx.
-func (c *Client) HistoryEntryByID(id int64) (HistoryEntry, error) {
-	return c.HistoryEntryByIDCtx(context.Background(), id)
 }

@@ -294,7 +294,7 @@ func cmdTrees(args []string) error {
 		return err
 	}
 	defer repo.Close()
-	infos, err := repo.Trees.Trees()
+	infos, err := repo.Trees.TreesCtx(context.Background())
 	if err != nil {
 		return err
 	}
@@ -373,7 +373,7 @@ func cmdLCA(args []string) error {
 	if err != nil {
 		return err
 	}
-	lrow, err := st.Node(l)
+	lrow, err := st.NodeCtx(ctx, l)
 	if err != nil {
 		return err
 	}
@@ -631,7 +631,7 @@ func cmdBench(args []string) error {
 	ingestReps := fs.Int("ingest-reps", 3, "repetitions in --ingest mode (best run is reported)")
 	readBench := fs.Bool("read", false, "instead of a reconstruction benchmark, measure the hot read path (project / lca / clade / match) against a stored Yule tree")
 	readReps := fs.Int("read-reps", 3, "repetitions in --read mode (best run is reported)")
-	readCacheMB := fs.Int("read-cache-mb", 64, "decoded-node read cache budget in --read mode, MB (0 disables the cache and the batched fast path)")
+	readCacheMB := fs.Int("read-cache-mb", 64, "decoded-node read cache budget in --read mode, MB (0 = no cache; queries run the same batched read path)")
 	projectK := fs.Int("project-k", 50, "species sample size for the projection / clade / match queries in --read mode")
 	commitBench := fs.Bool("commit", false, "instead of a reconstruction benchmark, measure durable commit throughput (concurrent small committers + one bulk load against a file-backed repository)")
 	commitWriters := fs.Int("commit-writers", 8, "concurrent small committers in --commit mode")
@@ -727,21 +727,10 @@ func cmdBench(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *jsonOut != "" {
-		raw, err := json.MarshalIndent(rep.JSON(), "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(raw)
-		} else {
-			if err := os.WriteFile(*jsonOut, raw, 0o644); err != nil {
-				return err
-			}
-			fmt.Print(rep.String())
-		}
-	} else {
+	if err := writeReport(*jsonOut, rep.JSON()); err != nil {
+		return err
+	}
+	if *jsonOut != "-" {
 		fmt.Print(rep.String())
 	}
 	if repo != nil {
@@ -749,6 +738,59 @@ func cmdBench(args []string) error {
 			map[string]any{"tree": *name, "sizes": sizeList, "reps": *reps, "algs": *algs},
 			"benchmark complete")
 		return repo.Commit()
+	}
+	return nil
+}
+
+// writeReport writes a bench report as indented JSON to path ("-" =
+// stdout); an empty path writes nothing.
+func writeReport(path string, v any) error {
+	if path == "" {
+		return nil
+	}
+	raw, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	raw = append(raw, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(raw)
+		return err
+	}
+	return os.WriteFile(path, raw, 0o644)
+}
+
+// gateThroughput is the baseline regression gate every bench mode shares:
+// it reads the throughput scalar stored under field in the baseline report
+// at path, prints the comparison, and fails when current falls more than
+// maxRegress below it. No path, or a baseline without the field, passes.
+func gateThroughput(mode, field, unit string, current float64, path string, maxRegress float64) error {
+	if path == "" {
+		return nil
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("bench: reading baseline: %w", err)
+	}
+	var fields map[string]json.RawMessage
+	var base float64
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		return fmt.Errorf("bench: parsing baseline %s: %w", path, err)
+	}
+	if v, ok := fields[field]; ok {
+		if err := json.Unmarshal(v, &base); err != nil {
+			return fmt.Errorf("bench: parsing baseline %s: %w", path, err)
+		}
+	}
+	if base <= 0 {
+		return nil
+	}
+	ratio := current / base
+	fmt.Fprintf(os.Stderr, "%s gate: baseline %.0f %s, current %.0f %s (%.1f%% of baseline, floor %.1f%%)\n",
+		mode, base, unit, current, unit, ratio*100, (1-maxRegress)*100)
+	if ratio < 1-maxRegress {
+		return fmt.Errorf("bench: %s throughput regressed %.1f%% vs %s (limit %.1f%%)",
+			mode, (1-ratio)*100, path, maxRegress*100)
 	}
 	return nil
 }
@@ -843,19 +885,7 @@ func runLoadBench(shards, nTrees, leaves int, seed int64, jsonOut string) error 
 	}
 	fmt.Fprintf(os.Stderr, "loaded %d trees (%d nodes) on %d shard(s) in %.3fs: %.0f nodes/s (GOMAXPROCS=%d)\n",
 		rep.Trees, rep.TotalNodes, rep.Shards, rep.Seconds, rep.NodesPerSec, rep.GOMAXPROCS)
-	if jsonOut != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if jsonOut == "-" {
-			os.Stdout.Write(raw)
-			return nil
-		}
-		return os.WriteFile(jsonOut, raw, 0o644)
-	}
-	return nil
+	return writeReport(jsonOut, rep)
 }
 
 // ingestBenchReport is the JSON body of an --ingest run: the single-tree
@@ -928,38 +958,10 @@ func runIngestBench(leaves, workers, reps int, seed int64, jsonOut, baseline str
 		best.Leaves, best.Nodes, best.InputBytes,
 		float64(best.ParseNS)/1e6, float64(best.IndexNS)/1e6, float64(best.StageNS)/1e6, float64(best.InsertNS)/1e6,
 		best.NodesPerSec, best.Workers, best.GOMAXPROCS)
-	if baseline != "" {
-		raw, err := os.ReadFile(baseline)
-		if err != nil {
-			return fmt.Errorf("bench: reading baseline: %w", err)
-		}
-		var base ingestBenchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("bench: parsing baseline %s: %w", baseline, err)
-		}
-		if base.NodesPerSec > 0 {
-			ratio := best.NodesPerSec / base.NodesPerSec
-			fmt.Fprintf(os.Stderr, "ingest gate: baseline %.0f nodes/s, current %.0f nodes/s (%.1f%% of baseline, floor %.1f%%)\n",
-				base.NodesPerSec, best.NodesPerSec, ratio*100, (1-maxRegress)*100)
-			if ratio < 1-maxRegress {
-				return fmt.Errorf("bench: ingest throughput regressed %.1f%% vs %s (limit %.1f%%)",
-					(1-ratio)*100, baseline, maxRegress*100)
-			}
-		}
+	if err := gateThroughput("ingest", "nodes_per_sec", "nodes/s", best.NodesPerSec, baseline, maxRegress); err != nil {
+		return err
 	}
-	if jsonOut != "" {
-		raw, err := json.MarshalIndent(best, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if jsonOut == "-" {
-			os.Stdout.Write(raw)
-			return nil
-		}
-		return os.WriteFile(jsonOut, raw, 0o644)
-	}
-	return nil
+	return writeReport(jsonOut, best)
 }
 
 // readBenchReport is the JSON body of a --read run: the hot read path —
@@ -1083,38 +1085,10 @@ func runReadBench(leaves, reps, projectK, cacheMB int, seed int64, jsonOut, base
 	fmt.Fprintf(os.Stderr, "read counters (all reps): descents=%d cells_decoded=%d cache hits=%d misses=%d evicts=%d\n",
 		best.Counters["btree_descents"], best.Counters["cells_decoded"],
 		best.Counters["read_cache_hits"], best.Counters["read_cache_misses"], best.Counters["read_cache_evicts"])
-	if baseline != "" {
-		raw, err := os.ReadFile(baseline)
-		if err != nil {
-			return fmt.Errorf("bench: reading baseline: %w", err)
-		}
-		var base readBenchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("bench: parsing baseline %s: %w", baseline, err)
-		}
-		if base.QueriesPerSec > 0 {
-			ratio := best.QueriesPerSec / base.QueriesPerSec
-			fmt.Fprintf(os.Stderr, "read gate: baseline %.0f queries/s, current %.0f queries/s (%.1f%% of baseline, floor %.1f%%)\n",
-				base.QueriesPerSec, best.QueriesPerSec, ratio*100, (1-maxRegress)*100)
-			if ratio < 1-maxRegress {
-				return fmt.Errorf("bench: read throughput regressed %.1f%% vs %s (limit %.1f%%)",
-					(1-ratio)*100, baseline, maxRegress*100)
-			}
-		}
+	if err := gateThroughput("read", "queries_per_sec", "queries/s", best.QueriesPerSec, baseline, maxRegress); err != nil {
+		return err
 	}
-	if jsonOut != "" {
-		raw, err := json.MarshalIndent(best, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if jsonOut == "-" {
-			os.Stdout.Write(raw)
-			return nil
-		}
-		return os.WriteFile(jsonOut, raw, 0o644)
-	}
-	return nil
+	return writeReport(jsonOut, best)
 }
 
 // commitBenchReport is the JSON body of a --commit run: durable commit
@@ -1265,38 +1239,10 @@ func runCommitBench(writers, ops int, seed int64, jsonOut, baseline string, maxR
 		rep.Writers, rep.OpsPerWriter, rep.BulkRows, rep.Commits, rep.Seconds,
 		rep.CommitsPerSec, rep.FsyncsPerCommit, rep.AvgBatch, rep.CheckpointRuns,
 		rep.CheckpointBacklogBytes, rep.WALBytes, rep.GOMAXPROCS)
-	if baseline != "" {
-		raw, err := os.ReadFile(baseline)
-		if err != nil {
-			return fmt.Errorf("bench: reading baseline: %w", err)
-		}
-		var base commitBenchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("bench: parsing baseline %s: %w", baseline, err)
-		}
-		if base.CommitsPerSec > 0 {
-			ratio := rep.CommitsPerSec / base.CommitsPerSec
-			fmt.Fprintf(os.Stderr, "commit gate: baseline %.0f commits/s, current %.0f commits/s (%.1f%% of baseline, floor %.1f%%)\n",
-				base.CommitsPerSec, rep.CommitsPerSec, ratio*100, (1-maxRegress)*100)
-			if ratio < 1-maxRegress {
-				return fmt.Errorf("bench: commit throughput regressed %.1f%% vs %s (limit %.1f%%)",
-					(1-ratio)*100, baseline, maxRegress*100)
-			}
-		}
+	if err := gateThroughput("commit", "commits_per_sec", "commits/s", rep.CommitsPerSec, baseline, maxRegress); err != nil {
+		return err
 	}
-	if jsonOut != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if jsonOut == "-" {
-			os.Stdout.Write(raw)
-			return nil
-		}
-		return os.WriteFile(jsonOut, raw, 0o644)
-	}
-	return nil
+	return writeReport(jsonOut, rep)
 }
 
 func cmdHistory(args []string) error {
@@ -1311,7 +1257,7 @@ func cmdHistory(args []string) error {
 		return err
 	}
 	defer repo.Close()
-	entries, err := repo.Queries.History(*limit)
+	entries, err := repo.Queries.HistoryCtx(context.Background(), *limit)
 	if err != nil {
 		return err
 	}
@@ -1403,7 +1349,7 @@ func cmdServe(args []string) error {
 	cacheSize := fs.Int("cache", 1024, "result-cache capacity in entries (negative disables)")
 	maxBody := fs.Int64("max-body", 256<<20, "request body limit in bytes")
 	loadWorkers := fs.Int("load-workers", 0, "ingest pipeline fan-out per load request (0 = GOMAXPROCS)")
-	readCacheMB := fs.Int("read-cache-mb", 64, "decoded-node read cache budget in MB, split across shards (0 disables the cache and the batched read fast path)")
+	readCacheMB := fs.Int("read-cache-mb", 64, "decoded-node read cache budget in MB, split across shards (0 = no cache; queries run the same batched read path)")
 	slowQueryMS := fs.Int("slow-query-ms", 0, "log requests slower than this many milliseconds together with their span tree (0 disables)")
 	traceAll := fs.Bool("trace", false, "collect a span tree on every request (clients still opt into the echo with ?debug=trace)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")

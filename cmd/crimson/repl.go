@@ -8,7 +8,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -195,36 +194,8 @@ func runReplBench(writers, ops, leaves int, seed int64, jsonOut, baseline string
 		"repl %d writers x %d ops (gold %d leaves): %d writes in %.2fs => %.0f writes/s, apply lag p50/p99/max = %.1f/%.1f/%.1f ms, %d timeouts (GOMAXPROCS=%d)\n",
 		rep.Writers, rep.OpsPerWriter, rep.Leaves, rep.Writes, rep.Seconds, rep.WritesPerSec,
 		rep.LagP50MS, rep.LagP99MS, rep.LagMaxMS, rep.LagTimeouts, rep.GOMAXPROCS)
-	if baseline != "" {
-		raw, err := os.ReadFile(baseline)
-		if err != nil {
-			return fmt.Errorf("bench: reading baseline: %w", err)
-		}
-		var base replBenchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("bench: parsing baseline %s: %w", baseline, err)
-		}
-		if base.WritesPerSec > 0 {
-			ratio := rep.WritesPerSec / base.WritesPerSec
-			fmt.Fprintf(os.Stderr, "repl gate: baseline %.0f writes/s, current %.0f writes/s (%.1f%% of baseline, floor %.1f%%)\n",
-				base.WritesPerSec, rep.WritesPerSec, ratio*100, (1-maxRegress)*100)
-			if ratio < 1-maxRegress {
-				return fmt.Errorf("bench: repl throughput regressed %.1f%% vs %s (limit %.1f%%)",
-					(1-ratio)*100, baseline, maxRegress*100)
-			}
-		}
+	if err := gateThroughput("repl", "writes_per_sec", "writes/s", rep.WritesPerSec, baseline, maxRegress); err != nil {
+		return err
 	}
-	if jsonOut != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if jsonOut == "-" {
-			os.Stdout.Write(raw)
-			return nil
-		}
-		return os.WriteFile(jsonOut, raw, 0o644)
-	}
-	return nil
+	return writeReport(jsonOut, rep)
 }

@@ -1,6 +1,7 @@
 package crimson_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 // LCA and pattern-match queries against one stored tree while a writer
 // goroutine loads a second tree into the same repository. Run with -race.
 func TestConcurrentReadersWithWriter(t *testing.T) {
+	ctx := context.Background()
 	repo := crimson.OpenMem()
 	defer repo.Close()
 
@@ -55,7 +57,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				switch (g + i) % 3 {
 				case 0: // sample then project
-					rows, err := st.SampleUniform(8, r)
+					rows, err := st.SampleUniformCtx(ctx, 8, r)
 					if err != nil {
 						errs <- fmt.Errorf("reader %d: sample: %w", g, err)
 						return
@@ -64,18 +66,18 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					for j, row := range rows {
 						ids[j] = row.ID
 					}
-					if _, err := st.Project(ids); err != nil {
+					if _, err := st.ProjectCtx(ctx, ids); err != nil {
 						errs <- fmt.Errorf("reader %d: project: %w", g, err)
 						return
 					}
 				case 1: // storage-backed LCA
 					a, b := r.Intn(info.Nodes), r.Intn(info.Nodes)
-					if _, err := st.LCA(a, b); err != nil {
+					if _, err := st.LCACtx(ctx, a, b); err != nil {
 						errs <- fmt.Errorf("reader %d: lca(%d,%d): %w", g, a, b, err)
 						return
 					}
 				case 2: // pattern match: project a random selection, compare
-					rows, err := st.SampleUniform(5, r)
+					rows, err := st.SampleUniformCtx(ctx, 5, r)
 					if err != nil {
 						errs <- fmt.Errorf("reader %d: sample: %w", g, err)
 						return
@@ -84,12 +86,12 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					for j, row := range rows {
 						names[j] = row.Name
 					}
-					pattern, err := st.ProjectNames(names)
+					pattern, err := st.ProjectNamesCtx(ctx, names)
 					if err != nil {
 						errs <- fmt.Errorf("reader %d: project names: %w", g, err)
 						return
 					}
-					projected, err := st.ProjectNames(pattern.LeafNames())
+					projected, err := st.ProjectNamesCtx(ctx, pattern.LeafNames())
 					if err != nil {
 						errs <- fmt.Errorf("reader %d: re-project: %w", g, err)
 						return
@@ -130,6 +132,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 // answering — no matter where the writer is mid-load or mid-delete. Run
 // with -race.
 func TestSnapshotIsolationLoadDeleteStress(t *testing.T) {
+	ctx := context.Background()
 	repo := crimson.OpenMem()
 	defer repo.Close()
 
@@ -196,7 +199,7 @@ func TestSnapshotIsolationLoadDeleteStress(t *testing.T) {
 					}
 					// Count every stored node row: mid-delete states would
 					// lose rows, mid-load states would miss tables.
-					leaves, err := ft.LeavesUnder(0)
+					leaves, err := ft.LeavesUnderCtx(ctx, 0)
 					if err != nil {
 						errs <- fmt.Errorf("reader %d: flux leaves: %w", g, err)
 						sn.Close()
@@ -207,7 +210,7 @@ func TestSnapshotIsolationLoadDeleteStress(t *testing.T) {
 						sn.Close()
 						return
 					}
-					if _, err := ft.LCA(r.Intn(info.Nodes), r.Intn(info.Nodes)); err != nil {
+					if _, err := ft.LCACtx(ctx, r.Intn(info.Nodes), r.Intn(info.Nodes)); err != nil {
 						errs <- fmt.Errorf("reader %d: flux LCA: %w", g, err)
 						sn.Close()
 						return
@@ -228,7 +231,7 @@ func TestSnapshotIsolationLoadDeleteStress(t *testing.T) {
 					sn.Close()
 					return
 				}
-				rows, err := gt.SampleUniform(6, r)
+				rows, err := gt.SampleUniformCtx(ctx, 6, r)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: sample: %w", g, err)
 					sn.Close()
@@ -238,7 +241,7 @@ func TestSnapshotIsolationLoadDeleteStress(t *testing.T) {
 				for j, row := range rows {
 					ids[j] = row.ID
 				}
-				if _, err := gt.Project(ids); err != nil {
+				if _, err := gt.ProjectCtx(ctx, ids); err != nil {
 					errs <- fmt.Errorf("reader %d: project: %w", g, err)
 					sn.Close()
 					return

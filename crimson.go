@@ -67,9 +67,7 @@
 // context — an abandoned snapshot closes itself on cancellation instead
 // of stalling page reclamation. StoredTree.ExportNewickTo streams a
 // tree's Newick serialization in bounded memory, and Snapshot.TreesPage
-// paginates the catalog with a resumable shard-merge cursor. The legacy
-// context-free signatures remain as thin deprecated wrappers over the
-// ctx forms.
+// paginates the catalog with a resumable shard-merge cursor.
 package crimson
 
 import (
@@ -454,9 +452,9 @@ func (r *Repository) Shards() int { return r.router.N() }
 // shard's storage engine, splitting the budget evenly across shards. The
 // cache keys decoded interior B+tree nodes by (page, epoch) — immutable
 // under copy-on-write commits — so hot descents skip the copy+decode per
-// level; enabling it also switches tree queries onto the batched point
-// read and LCA-memo fast path. mb <= 0 disables the cache and restores
-// the legacy per-row read path. Results are byte-identical either way.
+// level. mb <= 0 means no cache: every descent decodes its nodes afresh.
+// The budget only sizes the cache; tree queries run the same batched
+// read algorithm at every size, and results are byte-identical.
 func (r *Repository) SetReadCacheMB(mb int) {
 	per := int64(mb) << 20
 	if n := int64(len(r.dbs)); n > 1 && per > 0 {
@@ -741,9 +739,6 @@ func (r *Repository) SnapshotCtx(ctx context.Context) (*Snapshot, error) {
 
 // Tree opens a stored tree as of the snapshot.
 func (s *Snapshot) Tree(name string) (*StoredTree, error) { return s.TreeSnap.Tree(name) }
-
-// Trees lists the trees stored as of the snapshot.
-func (s *Snapshot) Trees() ([]TreeInfo, error) { return s.TreeSnap.Trees() }
 
 // TreesPage lists up to limit trees whose name sorts strictly after the
 // cursor name (limit <= 0 means all), merged across shards in name order,

@@ -80,8 +80,7 @@ func TestSnapshotCtxRejectsDeadContext(t *testing.T) {
 }
 
 // TestStoredTreeCtxQueries drives the ctx forms end to end through the
-// facade and checks both cancellation and equivalence with the legacy
-// forms.
+// facade and checks cancellation.
 func TestStoredTreeCtxQueries(t *testing.T) {
 	repo := crimson.OpenMem()
 	defer repo.Close()
@@ -94,19 +93,6 @@ func TestStoredTreeCtxQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	names := tree.LeafNames()[:10]
-
-	viaCtx, err := st.ProjectNamesCtx(ctx, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := st.ProjectNames(names) //lint:ignore SA1019 pinning the deprecated wrapper to its ctx form
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crimson.FormatNewick(viaCtx) != crimson.FormatNewick(legacy) {
-		t.Fatal("ProjectNamesCtx and ProjectNames disagree")
-	}
 
 	var sb strings.Builder
 	if err := st.ExportNewickTo(ctx, &sb); err != nil {

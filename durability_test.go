@@ -1,6 +1,7 @@
 package crimson_test
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -41,7 +42,7 @@ func TestLoadTreeDurability(t *testing.T) {
 		t.Fatalf("reloaded tree has %d leaves, want 80", st.Info().Leaves)
 	}
 	// The load's query-history record must have been committed too.
-	entries, err := reopened.Queries.ByKind("load")
+	entries, err := reopened.Queries.ByKindCtx(context.Background(), "load")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lrow, _ := stored.Node(lca)
+	lrow, _ := stored.NodeCtx(ctx, lca)
 	fmt.Printf("LCA(%s, %s) = node %d at depth %d, time %.3f\n", a.Name, b.Name, lca, lrow.Depth, lrow.Dist)
 	repo.Queries.Record("lca", map[string]string{"a": a.Name, "b": b.Name}, fmt.Sprintf("node %d", lca))
 
@@ -105,9 +105,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer repo.Close()
-	infos, _ := repo.Trees.Trees()
+	infos, _ := repo.Trees.TreesCtx(ctx)
 	fmt.Printf("trees: %+v\n", infos)
-	history, _ := repo.Queries.History(5)
+	history, _ := repo.Queries.HistoryCtx(ctx, 5)
 	fmt.Println("query history (most recent first):")
 	for _, e := range history {
 		fmt.Printf("  #%d %-8s %s => %.60s\n", e.ID, e.Kind, e.Args, e.Summary)

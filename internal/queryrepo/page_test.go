@@ -23,7 +23,7 @@ func TestHistoryPageWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full, err := repo.History(0)
+	full, err := repo.HistoryCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

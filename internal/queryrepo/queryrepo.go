@@ -273,12 +273,6 @@ func (r *Repo) HistoryCtx(ctx context.Context, limit int) ([]Entry, error) {
 	return history(ctx, r.tab, limit)
 }
 
-// History returns up to limit most recent entries, newest first
-// (limit <= 0 means all).
-func (r *Repo) History(limit int) ([]Entry, error) {
-	return r.HistoryCtx(context.Background(), limit)
-}
-
 // HistoryPage returns up to limit entries older than beforeID (beforeID
 // <= 0 starts at the newest), newest first, and the id to pass as the next
 // page's beforeID — 0 once the history is exhausted.
@@ -289,11 +283,6 @@ func (r *Repo) HistoryPage(ctx context.Context, beforeID int64, limit int) ([]En
 // ByKindCtx returns all entries of one query kind under ctx, oldest first.
 func (r *Repo) ByKindCtx(ctx context.Context, kind string) ([]Entry, error) {
 	return byKind(ctx, r.tab, kind)
-}
-
-// ByKind returns all entries of one query kind, oldest first.
-func (r *Repo) ByKind(kind string) ([]Entry, error) {
-	return r.ByKindCtx(context.Background(), kind)
 }
 
 // View is a read-only snapshot view of the query history: Get, History and
@@ -341,11 +330,6 @@ func (v *View) HistoryCtx(ctx context.Context, limit int) ([]Entry, error) {
 	return history(ctx, tab, limit)
 }
 
-// History returns up to limit most recent entries as of the snapshot.
-func (v *View) History(limit int) ([]Entry, error) {
-	return v.HistoryCtx(context.Background(), limit)
-}
-
 // HistoryPage returns up to limit entries older than beforeID as of the
 // snapshot (beforeID <= 0 starts at the newest), newest first, and the id
 // to pass as the next page's beforeID — 0 once exhausted.
@@ -366,11 +350,6 @@ func (v *View) ByKindCtx(ctx context.Context, kind string) ([]Entry, error) {
 	return byKind(ctx, tab, kind)
 }
 
-// ByKind returns all entries of one kind as of the snapshot.
-func (v *View) ByKind(kind string) ([]Entry, error) {
-	return v.ByKindCtx(context.Background(), kind)
-}
-
 // UnmarshalArgs decodes an entry's JSON args for rerunning the query.
 func (e Entry) UnmarshalArgs(into any) error {
 	return json.Unmarshal([]byte(e.Args), into)
@@ -381,7 +360,7 @@ func (r *Repo) Clear() (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var ids []int64
-	err := r.tab.Scan(func(row relstore.Row) (bool, error) {
+	err := r.tab.ScanCtx(context.TODO(), func(row relstore.Row) (bool, error) {
 		ids = append(ids, row[0].Int64())
 		return true, nil
 	})

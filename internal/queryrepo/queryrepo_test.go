@@ -1,6 +1,7 @@
 package queryrepo
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -42,7 +43,7 @@ func TestRecordAndHistory(t *testing.T) {
 		t.Fatalf("second id = %d", e2.ID)
 	}
 
-	hist, err := r.History(0)
+	hist, err := r.HistoryCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestRecordAndHistory(t *testing.T) {
 	if hist[0].ID != 2 || hist[1].ID != 1 {
 		t.Fatalf("history not newest-first: %v %v", hist[0].ID, hist[1].ID)
 	}
-	hist, _ = r.History(1)
+	hist, _ = r.HistoryCtx(context.Background(), 1)
 	if len(hist) != 1 || hist[0].Kind != "project" {
 		t.Fatalf("limited history = %+v", hist)
 	}
@@ -101,7 +102,7 @@ func TestByKind(t *testing.T) {
 	r.Record("lca", nil, "1")
 	r.Record("sample", nil, "2")
 	r.Record("lca", nil, "3")
-	got, err := r.ByKind("lca")
+	got, err := r.ByKindCtx(context.Background(), "lca")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestClear(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("Clear = %d, %v", n, err)
 	}
-	hist, _ := r.History(0)
+	hist, _ := r.HistoryCtx(context.Background(), 0)
 	if len(hist) != 0 {
 		t.Fatalf("history after clear = %d", len(hist))
 	}
@@ -154,6 +155,7 @@ func TestIDsPersistAcrossHandles(t *testing.T) {
 // History/ByKind readers (run under -race in CI) and verifies the
 // allocated IDs are exactly 1..N with no duplicates.
 func TestConcurrentRecordersAndReaders(t *testing.T) {
+	ctx := context.Background()
 	r := newRepo(t)
 	const (
 		recorders   = 8
@@ -176,11 +178,11 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := r.History(10); err != nil {
+				if _, err := r.HistoryCtx(ctx, 10); err != nil {
 					t.Errorf("reader %d: History: %v", g, err)
 					return
 				}
-				if _, err := r.ByKind("lca"); err != nil {
+				if _, err := r.ByKindCtx(ctx, "lca"); err != nil {
 					t.Errorf("reader %d: ByKind: %v", g, err)
 					return
 				}
@@ -238,7 +240,7 @@ func TestConcurrentRecordersAndReaders(t *testing.T) {
 	}
 
 	// The history agrees: every entry present, newest first.
-	all, err := r.History(0)
+	all, err := r.HistoryCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -35,6 +36,7 @@ func bulkRows(n int) []Row {
 }
 
 func TestBulkInsertMatchesInsert(t *testing.T) {
+	ctx := context.Background()
 	const n = 5000
 	bulkDB := OpenMemDB()
 	defer bulkDB.Close()
@@ -67,10 +69,10 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 	}
 	// Identical scan results in identical order.
 	var bulkSeen, rowSeen []int64
-	if err := bt.Scan(func(r Row) (bool, error) { bulkSeen = append(bulkSeen, r[0].Int64()); return true, nil }); err != nil {
+	if err := bt.ScanCtx(ctx, func(r Row) (bool, error) { bulkSeen = append(bulkSeen, r[0].Int64()); return true, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Scan(func(r Row) (bool, error) { rowSeen = append(rowSeen, r[0].Int64()); return true, nil }); err != nil {
+	if err := rt.ScanCtx(ctx, func(r Row) (bool, error) { rowSeen = append(rowSeen, r[0].Int64()); return true, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(bulkSeen) != len(rowSeen) {
@@ -83,7 +85,7 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 	}
 	// Index scans agree too.
 	count := 0
-	err = bt.IndexScan("by_name", []Value{Str("sp00042")}, func(r Row) (bool, error) {
+	err = bt.IndexScanCtx(ctx, "by_name", []Value{Str("sp00042")}, func(r Row) (bool, error) {
 		count++
 		if r[0].Int64() != 42 {
 			t.Fatalf("by_name hit id %d", r[0].Int64())

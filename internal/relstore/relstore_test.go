@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -163,6 +164,7 @@ func TestSchemaValidate(t *testing.T) {
 }
 
 func TestTableCRUD(t *testing.T) {
+	ctx := context.Background()
 	db := OpenMemDB()
 	defer db.Close()
 	tab, err := db.CreateTable(speciesSchema())
@@ -192,7 +194,7 @@ func TestTableCRUD(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hits []string
-	err = tab.IndexScan("by_name", []Value{Str("sp042")}, func(r Row) (bool, error) {
+	err = tab.IndexScanCtx(ctx, "by_name", []Value{Str("sp042")}, func(r Row) (bool, error) {
 		hits = append(hits, r[1].Text())
 		return true, nil
 	})
@@ -202,7 +204,7 @@ func TestTableCRUD(t *testing.T) {
 	if len(hits) != 0 {
 		t.Fatalf("stale index entry: %v", hits)
 	}
-	err = tab.IndexScan("by_name", []Value{Str("renamed")}, func(r Row) (bool, error) {
+	err = tab.IndexScanCtx(ctx, "by_name", []Value{Str("renamed")}, func(r Row) (bool, error) {
 		hits = append(hits, r[1].Text())
 		return true, nil
 	})
@@ -217,7 +219,7 @@ func TestTableCRUD(t *testing.T) {
 		t.Fatal("row present after delete")
 	}
 	hits = nil
-	tab.IndexScan("by_name", []Value{Str("renamed")}, func(r Row) (bool, error) {
+	tab.IndexScanCtx(ctx, "by_name", []Value{Str("renamed")}, func(r Row) (bool, error) {
 		hits = append(hits, r[1].Text())
 		return true, nil
 	})
@@ -263,6 +265,7 @@ func TestUniqueIndexEnforced(t *testing.T) {
 }
 
 func TestScanOrderAndRange(t *testing.T) {
+	ctx := context.Background()
 	db := OpenMemDB()
 	defer db.Close()
 	tab, _ := db.CreateTable(speciesSchema())
@@ -273,7 +276,7 @@ func TestScanOrderAndRange(t *testing.T) {
 		}
 	}
 	var ids []int64
-	tab.Scan(func(r Row) (bool, error) {
+	tab.ScanCtx(ctx, func(r Row) (bool, error) {
 		ids = append(ids, r[0].Int64())
 		return true, nil
 	})
@@ -284,7 +287,7 @@ func TestScanOrderAndRange(t *testing.T) {
 		t.Fatalf("Scan visited %d rows", len(ids))
 	}
 	ids = nil
-	tab.ScanRange(Int(10), Int(20), func(r Row) (bool, error) {
+	tab.ScanRangeCtx(ctx, Int(10), Int(20), func(r Row) (bool, error) {
 		ids = append(ids, r[0].Int64())
 		return true, nil
 	})
@@ -293,7 +296,7 @@ func TestScanOrderAndRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	tab.Scan(func(r Row) (bool, error) { n++; return n < 5, nil })
+	tab.ScanCtx(ctx, func(r Row) (bool, error) { n++; return n < 5, nil })
 	if n != 5 {
 		t.Fatalf("early stop visited %d", n)
 	}
@@ -309,7 +312,7 @@ func TestIndexRangeByFloat(t *testing.T) {
 		}
 	}
 	var depths []float64
-	err := tab.IndexRange("by_depth", Float(5.0), Float(10.0), func(r Row) (bool, error) {
+	err := tab.IndexRangeCtx(context.Background(), "by_depth", Float(5.0), Float(10.0), func(r Row) (bool, error) {
 		depths = append(depths, r[2].Float64())
 		return true, nil
 	})
@@ -370,7 +373,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	// Index must also have been persisted.
 	var got []int64
-	err = tab.IndexScan("by_name", []Value{Str("sp0123")}, func(r Row) (bool, error) {
+	err = tab.IndexScanCtx(context.Background(), "by_name", []Value{Str("sp0123")}, func(r Row) (bool, error) {
 		got = append(got, r[0].Int64())
 		return true, nil
 	})
@@ -473,7 +476,7 @@ func TestTableMatchesMapModel(t *testing.T) {
 		}
 		for v, want := range counts {
 			n := 0
-			tab.IndexScan("by_v", []Value{Str(v)}, func(Row) (bool, error) { n++; return true, nil })
+			tab.IndexScanCtx(context.Background(), "by_v", []Value{Str(v)}, func(Row) (bool, error) { n++; return true, nil })
 			if n != want {
 				return false
 			}

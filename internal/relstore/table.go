@@ -425,13 +425,6 @@ func (t *Table) ScanCtx(ctx context.Context, fn func(Row) (bool, error)) error {
 	return t.TableView.ScanCtx(ctx, fn)
 }
 
-// Scan visits all rows in primary key order. The callback returns false to
-// stop early. Safe for concurrent readers; the callback must not call back
-// into the database (see the DB doc comment).
-func (t *Table) Scan(fn func(Row) (bool, error)) error {
-	return t.ScanCtx(context.Background(), fn)
-}
-
 // ScanRangeCtx visits rows with primary key in [lo, hi) under ctx; either
 // bound may be the zero Value meaning unbounded. Safe for concurrent
 // readers.
@@ -439,12 +432,6 @@ func (t *Table) ScanRangeCtx(ctx context.Context, lo, hi Value, fn func(Row) (bo
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
 	return t.TableView.ScanRangeCtx(ctx, lo, hi, fn)
-}
-
-// ScanRange visits rows with primary key in [lo, hi); either bound may be
-// the zero Value meaning unbounded. Safe for concurrent readers.
-func (t *Table) ScanRange(lo, hi Value, fn func(Row) (bool, error)) error {
-	return t.ScanRangeCtx(context.Background(), lo, hi, fn)
 }
 
 // Rows returns an iterator over all rows in primary key order under ctx.
@@ -478,13 +465,6 @@ func (t *Table) IndexScanCtx(ctx context.Context, index string, vals []Value, fn
 	return t.TableView.IndexScanCtx(ctx, index, vals, fn)
 }
 
-// IndexScan visits rows whose indexed columns equal vals (a prefix of the
-// index columns may be given). Rows arrive in index order. Safe for
-// concurrent readers.
-func (t *Table) IndexScan(index string, vals []Value, fn func(Row) (bool, error)) error {
-	return t.IndexScanCtx(context.Background(), index, vals, fn)
-}
-
 // IndexRangeCtx visits rows whose first indexed column lies in [lo, hi)
 // under ctx; either bound may be the zero Value for unbounded. Safe for
 // concurrent readers.
@@ -492,12 +472,6 @@ func (t *Table) IndexRangeCtx(ctx context.Context, index string, lo, hi Value, f
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
 	return t.TableView.IndexRangeCtx(ctx, index, lo, hi, fn)
-}
-
-// IndexRange visits rows whose first indexed column lies in [lo, hi); either
-// bound may be the zero Value for unbounded. Safe for concurrent readers.
-func (t *Table) IndexRange(index string, lo, hi Value, fn func(Row) (bool, error)) error {
-	return t.IndexRangeCtx(context.Background(), index, lo, hi, fn)
 }
 
 // Check verifies one table (see DB.Check). It runs under the database read

@@ -188,13 +188,6 @@ func (v *TableView) ScanCtx(ctx context.Context, fn func(Row) (bool, error)) err
 	return v.ScanRangeCtx(ctx, Value{}, Value{}, fn)
 }
 
-// Scan visits all rows in primary key order. The callback returns false to
-// stop early. Equivalent to ScanCtx with a background context (the scan
-// cannot be cancelled).
-func (v *TableView) Scan(fn func(Row) (bool, error)) error {
-	return v.ScanCtx(context.Background(), fn)
-}
-
 // ScanRangeCtx visits rows with primary key in [lo, hi) under ctx; either
 // bound may be the zero Value meaning unbounded.
 func (v *TableView) ScanRangeCtx(ctx context.Context, lo, hi Value, fn func(Row) (bool, error)) error {
@@ -216,13 +209,6 @@ func (v *TableView) ScanRangeCtx(ctx context.Context, lo, hi Value, fn func(Row)
 		}
 		return fn(row)
 	})
-}
-
-// ScanRange visits rows with primary key in [lo, hi); either bound may be
-// the zero Value meaning unbounded. Equivalent to ScanRangeCtx with a
-// background context.
-func (v *TableView) ScanRange(lo, hi Value, fn func(Row) (bool, error)) error {
-	return v.ScanRangeCtx(context.Background(), lo, hi, fn)
 }
 
 // Rows returns an iterator over all rows in primary key order under ctx.
@@ -288,13 +274,6 @@ func (v *TableView) IndexScanCtx(ctx context.Context, index string, vals []Value
 	})
 }
 
-// IndexScan visits rows whose indexed columns equal vals (a prefix of the
-// index columns may be given). Rows arrive in index order. Equivalent to
-// IndexScanCtx with a background context.
-func (v *TableView) IndexScan(index string, vals []Value, fn func(Row) (bool, error)) error {
-	return v.IndexScanCtx(context.Background(), index, vals, fn)
-}
-
 // IndexRangeCtx visits rows whose first indexed column lies in [lo, hi)
 // under ctx; either bound may be the zero Value for unbounded.
 func (v *TableView) IndexRangeCtx(ctx context.Context, index string, lo, hi Value, fn func(Row) (bool, error)) error {
@@ -321,13 +300,6 @@ func (v *TableView) IndexRangeCtx(ctx context.Context, index string, lo, hi Valu
 		}
 		return resolve(key, pk)
 	})
-}
-
-// IndexRange visits rows whose first indexed column lies in [lo, hi); either
-// bound may be the zero Value for unbounded. Equivalent to IndexRangeCtx
-// with a background context.
-func (v *TableView) IndexRange(index string, lo, hi Value, fn func(Row) (bool, error)) error {
-	return v.IndexRangeCtx(context.Background(), index, lo, hi, fn)
 }
 
 // Check verifies one table view: B+tree structural invariants, row

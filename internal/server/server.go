@@ -44,6 +44,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -155,6 +156,10 @@ type Server struct {
 
 	readSem  chan struct{} // bounds in-flight reads
 	writeMus []sync.Mutex  // one writer mutex per shard; mutations lock their tree's shard
+	// failed marks shards on which a write handler panicked. Storage has
+	// no rollback, so whatever the handler applied stays pending; a failed
+	// shard is never committed again (set and read under its writeMus).
+	failed []bool
 
 	// pubs streams each shard's WAL batches to replication subscribers.
 	// Publishers exist on every server (they are inert without
@@ -238,6 +243,7 @@ func New(be Backend, cfg Config) *Server {
 		cache:    newResultCache(cfg.ResultCacheSize),
 		readSem:  make(chan struct{}, cfg.MaxInFlightReads),
 		writeMus: make([]sync.Mutex, len(be.DBs)),
+		failed:   make([]bool, len(be.DBs)),
 		handles:  make(map[string]epochHandle),
 		vers:     make(map[string]uint64),
 		recCh:    make(chan histRecord, 256),
@@ -298,8 +304,7 @@ func (s *Server) recordLoop() {
 		select {
 		case rec, ok := <-s.recCh:
 			if !ok {
-				if pending > 0 {
-					s.writeMus[0].Lock()
+				if pending > 0 && s.lockWriter(0) {
 					w := capture()
 					s.writeMus[0].Unlock()
 					wait(w)
@@ -307,7 +312,10 @@ func (s *Server) recordLoop() {
 				return
 			}
 			var w *relstore.CommitWaiter
-			s.writeMus[0].Lock()
+			if !s.lockWriter(0) {
+				s.stats.historyDropped.Add(1)
+				continue
+			}
 			recordOne(rec)
 			pending++
 		drain:
@@ -335,8 +343,7 @@ func (s *Server) recordLoop() {
 			wait(w)
 		case <-flush:
 			flush = nil
-			if pending > 0 {
-				s.writeMus[0].Lock()
+			if pending > 0 && s.lockWriter(0) {
 				w := capture()
 				s.writeMus[0].Unlock()
 				pending = 0
@@ -345,6 +352,33 @@ func (s *Server) recordLoop() {
 			}
 		}
 	}
+}
+
+// lockWriter takes shard si's writer mutex and reports true, unless a
+// write handler panicked on the shard: then it releases the mutex and
+// reports false, so the caller neither writes to nor commits the shard's
+// half-applied state.
+func (s *Server) lockWriter(si int) bool {
+	s.writeMus[si].Lock()
+	if s.failed[si] {
+		s.writeMus[si].Unlock()
+		return false
+	}
+	return true
+}
+
+// failShard marks shard si failed after a panic p in a handler holding its
+// writer mutex. Later writes get 503 and nothing commits the shard again;
+// committed epochs stay readable, and a restart recovers the shard from
+// its last commit.
+func (s *Server) failShard(si int, op string, p any) {
+	s.failed[si] = true
+	s.logf("crimsond: %s panicked; shard %d refuses writes until restart: %v\n%s", op, si, p, debug.Stack())
+}
+
+func shardFailedErr(si int) error {
+	return &httpErr{status: http.StatusServiceUnavailable,
+		msg: fmt.Sprintf("shard %d refuses writes until restart: an earlier write failed mid-way", si)}
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -471,14 +505,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// them together: the shards' WAL fsyncs run concurrently instead of
 	// back to back.
 	waiters := make([]*relstore.CommitWaiter, len(s.be.DBs))
+	errs := make([]error, len(waiters))
 	for i := range s.be.DBs {
-		s.writeMus[i].Lock()
+		if !s.lockWriter(i) {
+			errs[i] = shardFailedErr(i)
+			continue
+		}
 		waiters[i] = s.be.DBs[i].CommitAsync()
 		s.writeMus[i].Unlock()
 	}
-	errs := make([]error, len(waiters))
 	var wg sync.WaitGroup
 	for i, w := range waiters {
+		if w == nil {
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -914,9 +954,22 @@ func (s *Server) write(op string, fn writeFunc) http.HandlerFunc {
 		}
 		si := s.be.Router.Place(r.PathValue("name"))
 		cc := &commitCollector{s: s}
-		s.writeMus[si].Lock()
-		v, err := fn(r, si, cc)
-		s.writeMus[si].Unlock()
+		v, err := func() (v any, err error) {
+			if !s.lockWriter(si) {
+				return nil, shardFailedErr(si)
+			}
+			defer s.writeMus[si].Unlock() // a panicking handler must not wedge the shard
+			defer func() {
+				// Runs before the unlock: the shard is failed before any
+				// other writer can commit what the handler left half done.
+				if p := recover(); p != nil {
+					s.failShard(si, op, p)
+					v, err = nil, &httpErr{status: http.StatusInternalServerError,
+						msg: fmt.Sprintf("%s: internal error; shard %d refuses writes until restart", op, si)}
+				}
+			}()
+			return fn(r, si, cc)
+		}()
 		// Await collected commits outside the shard mutex: the next writer
 		// may already be preparing, and its flush coalesces with ours.
 		if werr := cc.wait(r.Context()); werr != nil && err == nil {
@@ -1156,8 +1209,17 @@ func queryInt64(r *http.Request, key string, def int64) (int64, error) {
 // is only ever acquired bare or after another shard's, never the other way.
 func (s *Server) recordWrite(cc *commitCollector, si int, kind string, args any, summary string) error {
 	if si != 0 {
-		s.writeMus[0].Lock()
+		if !s.lockWriter(0) {
+			s.logf("crimsond: not recording %s: %v", kind, shardFailedErr(0))
+			return nil
+		}
 		defer s.writeMus[0].Unlock()
+		defer func() {
+			if p := recover(); p != nil {
+				s.failShard(0, kind, p)
+				panic(p) // write() fails shard si too
+			}
+		}()
 	}
 	if _, err := s.be.Queries.Record(kind, args, summary); err != nil {
 		s.logf("crimsond: recording %s query: %v", kind, err)

@@ -98,10 +98,11 @@ func yule(t *testing.T, leaves int, seed int64) *phylo.Tree {
 // TestEndToEnd loads a >=1k-leaf tree over HTTP and checks every query
 // endpoint against the in-process API.
 func TestEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	repo, cl := startServer(t, crimson.ServerConfig{})
 	gold := yule(t, 1200, 7)
 
-	info, err := cl.LoadTree("gold", 0, gold)
+	info, err := cl.LoadTreeCtx(ctx, "gold", 0, gold)
 	if err != nil {
 		t.Fatalf("loading over HTTP: %v", err)
 	}
@@ -117,11 +118,11 @@ func TestEndToEnd(t *testing.T) {
 
 	// Sampling is seeded, so the wire path must reproduce the in-process
 	// draw exactly.
-	wire, err := cl.SampleUniform("gold", 40, 99)
+	wire, err := cl.SampleUniformCtx(ctx, "gold", 40, 99)
 	if err != nil {
 		t.Fatalf("sample over HTTP: %v", err)
 	}
-	rows, err := st.SampleUniform(40, rand.New(rand.NewSource(99)))
+	rows, err := st.SampleUniformCtx(ctx, 40, rand.New(rand.NewSource(99)))
 	if err != nil {
 		t.Fatalf("sample in-process: %v", err)
 	}
@@ -135,11 +136,11 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Projection over the sampled species: identical trees both ways.
-	projWire, err := cl.ProjectTree("gold", wire)
+	projWire, err := cl.ProjectTreeCtx(ctx, "gold", wire)
 	if err != nil {
 		t.Fatalf("project over HTTP: %v", err)
 	}
-	projLocal, err := st.ProjectNames(wire)
+	projLocal, err := st.ProjectNamesCtx(ctx, wire)
 	if err != nil {
 		t.Fatalf("project in-process: %v", err)
 	}
@@ -150,19 +151,19 @@ func TestEndToEnd(t *testing.T) {
 	// LCA for several pairs.
 	for i := 0; i+1 < 10; i += 2 {
 		a, b := wire[i], wire[i+1]
-		resp, err := cl.LCA("gold", a, b)
+		resp, err := cl.LCACtx(ctx, "gold", a, b)
 		if err != nil {
 			t.Fatalf("LCA(%s,%s) over HTTP: %v", a, b, err)
 		}
-		na, err := st.NodeByName(a)
+		na, err := st.NodeByNameCtx(ctx, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nb, err := st.NodeByName(b)
+		nb, err := st.NodeByNameCtx(ctx, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := st.LCA(na.ID, nb.ID)
+		want, err := st.LCACtx(ctx, na.ID, nb.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,11 +173,11 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Pattern match: a projection of the stored tree must match exactly.
-	pattern, err := st.ProjectNames(wire[:8])
+	pattern, err := st.ProjectNamesCtx(ctx, wire[:8])
 	if err != nil {
 		t.Fatal(err)
 	}
-	match, err := cl.Match("gold", pattern)
+	match, err := cl.MatchCtx(ctx, "gold", pattern)
 	if err != nil {
 		t.Fatalf("match over HTTP: %v", err)
 	}
@@ -185,7 +186,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Clade root equals the LCA of the species set.
-	clade, err := cl.Clade("gold", wire[:4])
+	clade, err := cl.CladeCtx(ctx, "gold", wire[:4])
 	if err != nil {
 		t.Fatalf("clade over HTTP: %v", err)
 	}
@@ -194,7 +195,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Export round-trips the full tree.
-	exported, err := cl.Export("gold")
+	exported, err := cl.ExportCtx(ctx, "gold")
 	if err != nil {
 		t.Fatalf("export over HTTP: %v", err)
 	}
@@ -203,7 +204,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Tree listing and info agree with the catalog.
-	trees, err := cl.Trees()
+	trees, err := cl.TreesCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestEndToEnd(t *testing.T) {
 	var kinds map[string]int
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		hist, err := cl.History(0)
+		hist, err := cl.HistoryCtx(ctx, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,20 +250,21 @@ func TestEndToEnd(t *testing.T) {
 // TestCacheHitsVisibleInStats re-issues identical projections and LCAs
 // and expects the stats endpoint to count cache hits.
 func TestCacheHitsVisibleInStats(t *testing.T) {
+	ctx := context.Background()
 	if replicaMode() {
 		t.Skip("followers serve these reads with the result cache deliberately off")
 	}
 	_, cl := startServer(t, crimson.ServerConfig{})
 	gold := yule(t, 300, 3)
-	if _, err := cl.LoadTree("gold", 0, gold); err != nil {
+	if _, err := cl.LoadTreeCtx(ctx, "gold", 0, gold); err != nil {
 		t.Fatal(err)
 	}
-	species, err := cl.SampleUniform("gold", 12, 5)
+	species, err := cl.SampleUniformCtx(ctx, "gold", 12, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	first, err := cl.Project("gold", species)
+	first, err := cl.ProjectCtx(ctx, "gold", species)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +272,7 @@ func TestCacheHitsVisibleInStats(t *testing.T) {
 		t.Fatalf("first projection claims to be cached")
 	}
 	for i := 0; i < 3; i++ {
-		again, err := cl.Project("gold", species)
+		again, err := cl.ProjectCtx(ctx, "gold", species)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,25 +283,25 @@ func TestCacheHitsVisibleInStats(t *testing.T) {
 			t.Fatalf("cached projection differs from original")
 		}
 	}
-	clade1, err := cl.Clade("gold", species[:4])
+	clade1, err := cl.CladeCtx(ctx, "gold", species[:4])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if clade1.Cached {
 		t.Fatalf("first clade claims to be cached")
 	}
-	clade2, err := cl.Clade("gold", species[:4])
+	clade2, err := cl.CladeCtx(ctx, "gold", species[:4])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !clade2.Cached {
 		t.Fatalf("repeat clade not served from cache")
 	}
-	if _, err := cl.LCA("gold", species[0], species[1]); err != nil {
+	if _, err := cl.LCACtx(ctx, "gold", species[0], species[1]); err != nil {
 		t.Fatal(err)
 	}
 	// Reversed arguments must hit the same cache entry (LCA is symmetric).
-	rev, err := cl.LCA("gold", species[1], species[0])
+	rev, err := cl.LCACtx(ctx, "gold", species[1], species[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +309,7 @@ func TestCacheHitsVisibleInStats(t *testing.T) {
 		t.Fatalf("symmetric LCA not served from cache")
 	}
 
-	stats, err := cl.Stats()
+	stats, err := cl.StatsCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,30 +327,31 @@ func TestCacheHitsVisibleInStats(t *testing.T) {
 // TestConcurrentClients drives the server from many goroutines at once
 // (run under -race in CI) while a writer loads and deletes other trees.
 func TestConcurrentClients(t *testing.T) {
+	ctx := context.Background()
 	repo, cl := startServer(t, crimson.ServerConfig{MaxInFlightReads: 8})
 	gold := yule(t, 400, 11)
-	if _, err := cl.LoadTree("gold", 0, gold); err != nil {
+	if _, err := cl.LoadTreeCtx(ctx, "gold", 0, gold); err != nil {
 		t.Fatal(err)
 	}
 	st, err := repo.Tree("gold")
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := cl.SampleUniform("gold", 24, 1)
+	names, err := cl.SampleUniformCtx(ctx, "gold", 24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantLCA := make(map[string]int)
 	for i := 0; i+1 < len(names); i += 2 {
-		na, err := st.NodeByName(names[i])
+		na, err := st.NodeByNameCtx(ctx, names[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		nb, err := st.NodeByName(names[i+1])
+		nb, err := st.NodeByNameCtx(ctx, names[i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, err := st.LCA(na.ID, nb.ID)
+		id, err := st.LCACtx(ctx, na.ID, nb.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +370,7 @@ func TestConcurrentClients(t *testing.T) {
 				if i%2 == 1 {
 					i--
 				}
-				resp, err := cl.LCA("gold", names[i], names[i+1])
+				resp, err := cl.LCACtx(ctx, "gold", names[i], names[i+1])
 				if err != nil {
 					errc <- fmt.Errorf("reader %d: lca: %w", g, err)
 					return
@@ -380,11 +383,11 @@ func TestConcurrentClients(t *testing.T) {
 				if end > len(names) {
 					end = len(names)
 				}
-				if _, err := cl.Project("gold", names[i:end]); err != nil {
+				if _, err := cl.ProjectCtx(ctx, "gold", names[i:end]); err != nil {
 					errc <- fmt.Errorf("reader %d: project: %w", g, err)
 					return
 				}
-				if _, err := cl.SampleUniform("gold", 5, int64(g*100+iter)); err != nil {
+				if _, err := cl.SampleUniformCtx(ctx, "gold", 5, int64(g*100+iter)); err != nil {
 					errc <- fmt.Errorf("reader %d: sample: %w", g, err)
 					return
 				}
@@ -403,11 +406,11 @@ func TestConcurrentClients(t *testing.T) {
 		defer wg.Done()
 		for iter := 0; iter < len(scratch); iter++ {
 			name := fmt.Sprintf("scratch%d", iter)
-			if _, err := cl.LoadTree(name, 0, scratch[iter]); err != nil {
+			if _, err := cl.LoadTreeCtx(ctx, name, 0, scratch[iter]); err != nil {
 				errc <- fmt.Errorf("writer: load %s: %w", name, err)
 				return
 			}
-			if err := cl.Delete(name); err != nil {
+			if err := cl.DeleteCtx(ctx, name); err != nil {
 				errc <- fmt.Errorf("writer: delete %s: %w", name, err)
 				return
 			}
@@ -419,7 +422,7 @@ func TestConcurrentClients(t *testing.T) {
 		t.Error(err)
 	}
 
-	stats, err := cl.Stats()
+	stats, err := cl.StatsCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,13 +438,14 @@ func TestConcurrentClients(t *testing.T) {
 // server-side benchmark runs, species data, NEXUS loads and error
 // statuses.
 func TestServerBenchAndSpeciesAndErrors(t *testing.T) {
+	ctx := context.Background()
 	_, cl := startServer(t, crimson.ServerConfig{})
 	gold := yule(t, 64, 13)
-	if _, err := cl.LoadTree("gold", 0, gold); err != nil {
+	if _, err := cl.LoadTreeCtx(ctx, "gold", 0, gold); err != nil {
 		t.Fatal(err)
 	}
 
-	rep, err := cl.Bench("gold", client.BenchRequest{
+	rep, err := cl.BenchCtx(ctx, "gold", client.BenchRequest{
 		Sizes:      []int{8},
 		Replicates: 2,
 		Algorithms: []string{"NJ", "UPGMA"},
@@ -459,7 +463,7 @@ func TestServerBenchAndSpeciesAndErrors(t *testing.T) {
 	}
 
 	// A parsimony-only request must not pick up the NJ/UPGMA defaults.
-	mpOnly, err := cl.Bench("gold", client.BenchRequest{
+	mpOnly, err := cl.BenchCtx(ctx, "gold", client.BenchRequest{
 		Sizes: []int{6}, Replicates: 1, Algorithms: []string{"MP"}, SeqLength: 60, Seed: 2,
 	})
 	if err != nil {
@@ -470,55 +474,55 @@ func TestServerBenchAndSpeciesAndErrors(t *testing.T) {
 	}
 
 	// Species data round trip.
-	if err := cl.PutSpeciesData("gold", "s1", "seq:test", []byte("ACGT")); err != nil {
+	if err := cl.PutSpeciesDataCtx(ctx, "gold", "s1", "seq:test", []byte("ACGT")); err != nil {
 		t.Fatal(err)
 	}
-	data, err := cl.SpeciesData("gold", "s1", "seq:test")
+	data, err := cl.SpeciesDataCtx(ctx, "gold", "s1", "seq:test")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(data) != "ACGT" {
 		t.Fatalf("species data = %q", data)
 	}
-	recs, err := cl.ListSpeciesData("gold", "s1")
+	recs, err := cl.ListSpeciesDataCtx(ctx, "gold", "s1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || recs[0].Kind != "seq:test" {
 		t.Fatalf("records = %+v", recs)
 	}
-	if err := cl.DeleteSpeciesData("gold", "s1", "seq:test"); err != nil {
+	if err := cl.DeleteSpeciesDataCtx(ctx, "gold", "s1", "seq:test"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.SpeciesData("gold", "s1", "seq:test"); !isStatus(err, 404) {
+	if _, err := cl.SpeciesDataCtx(ctx, "gold", "s1", "seq:test"); !isStatus(err, 404) {
 		t.Fatalf("deleted species data: err = %v, want 404", err)
 	}
 
 	// Error statuses.
-	if _, err := cl.Info("nosuch"); !isStatus(err, 404) {
+	if _, err := cl.InfoCtx(ctx, "nosuch"); !isStatus(err, 404) {
 		t.Fatalf("missing tree: err = %v, want 404", err)
 	}
-	if _, err := cl.LoadTree("gold", 0, gold); !isStatus(err, 409) {
+	if _, err := cl.LoadTreeCtx(ctx, "gold", 0, gold); !isStatus(err, 409) {
 		t.Fatalf("duplicate load: err = %v, want 409", err)
 	}
-	if _, err := cl.LoadNewick("bad name", 0, strings.NewReader("(a,b);")); !isStatus(err, 400) {
+	if _, err := cl.LoadNewickCtx(ctx, "bad name", 0, strings.NewReader("(a,b);")); !isStatus(err, 400) {
 		t.Fatalf("bad name: err = %v, want 400", err)
 	}
-	if _, err := cl.LoadNewick("badbody", 0, strings.NewReader("((((")); !isStatus(err, 400) {
+	if _, err := cl.LoadNewickCtx(ctx, "badbody", 0, strings.NewReader("((((")); !isStatus(err, 400) {
 		t.Fatalf("bad newick: err = %v, want 400", err)
 	}
-	if _, err := cl.Project("gold", nil); !isStatus(err, 400) {
+	if _, err := cl.ProjectCtx(ctx, "gold", nil); !isStatus(err, 400) {
 		t.Fatalf("empty projection: err = %v, want 400", err)
 	}
 
 	// Deleting a tree drops it from the catalog and the caches.
-	if err := cl.Delete("gold"); err != nil {
+	if err := cl.DeleteCtx(ctx, "gold"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Info("gold"); !isStatus(err, 404) {
+	if _, err := cl.InfoCtx(ctx, "gold"); !isStatus(err, 404) {
 		t.Fatalf("deleted tree still visible: %v", err)
 	}
-	stats, err := cl.Stats()
+	stats, err := cl.StatsCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,6 +541,7 @@ func isStatus(err error, status int) bool {
 // in /v1/stats, version-keyed cache hits, and delete+reload cache
 // correctness across a shard.
 func TestShardedServer(t *testing.T) {
+	ctx := context.Background()
 	const shards = 4
 	_, cl := startServerShards(t, crimson.ServerConfig{}, shards)
 
@@ -566,7 +571,7 @@ func TestShardedServer(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := cl.LoadTree(names[i], 0, trees[i]); err != nil {
+			if _, err := cl.LoadTreeCtx(ctx, names[i], 0, trees[i]); err != nil {
 				errc <- fmt.Errorf("load %s: %w", names[i], err)
 			}
 		}(i)
@@ -577,7 +582,7 @@ func TestShardedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	listed, err := cl.Trees()
+	listed, err := cl.TreesCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +592,7 @@ func TestShardedServer(t *testing.T) {
 
 	// Per-shard gauges: every shard committed at least once, and the
 	// aggregate epoch is their sum.
-	stats, err := cl.Stats()
+	stats, err := cl.StatsCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,15 +613,15 @@ func TestShardedServer(t *testing.T) {
 	// Version-keyed cache: repeats hit, and a delete+reload of the same
 	// name moves the version so the old entries can never be served.
 	name := names[1]
-	sample, err := cl.SampleUniform(name, 8, 3)
+	sample, err := cl.SampleUniformCtx(ctx, name, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := cl.Project(name, sample)
+	first, err := cl.ProjectCtx(ctx, name, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := cl.Project(name, sample)
+	again, err := cl.ProjectCtx(ctx, name, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,21 +633,21 @@ func TestShardedServer(t *testing.T) {
 	if !replicaMode() && !again.Cached {
 		t.Fatalf("repeat projection not served from cache: %+v", again)
 	}
-	if err := cl.Delete(name); err != nil {
+	if err := cl.DeleteCtx(ctx, name); err != nil {
 		t.Fatal(err)
 	}
 	replacement := yule(t, 90, 77)
-	if _, err := cl.LoadTree(name, 0, replacement); err != nil {
+	if _, err := cl.LoadTreeCtx(ctx, name, 0, replacement); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := cl.Project(name, replacement.LeafNames()[:4])
+	fresh, err := cl.ProjectCtx(ctx, name, replacement.LeafNames()[:4])
 	if err != nil {
 		t.Fatalf("projection after reload: %v", err)
 	}
 	if fresh.Cached {
 		t.Fatal("projection on the reloaded tree claims to be cached")
 	}
-	if _, err := cl.Project(name, sample); !isStatus(err, 404) {
+	if _, err := cl.ProjectCtx(ctx, name, sample); !isStatus(err, 404) {
 		t.Fatalf("old species set against the reloaded tree: err = %v, want 404 (stale cache must not answer)", err)
 	}
 }

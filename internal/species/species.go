@@ -6,6 +6,7 @@
 package species
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -178,7 +179,7 @@ func (r *Repo) Put(tree, sp, kind string, data []byte) error {
 // (lock-per-operation) and a snapshot view (lock-free) satisfy it.
 type reader interface {
 	Get(key relstore.Value) (relstore.Row, bool, error)
-	IndexScan(index string, vals []relstore.Value, fn func(relstore.Row) (bool, error)) error
+	IndexScanCtx(ctx context.Context, index string, vals []relstore.Value, fn func(relstore.Row) (bool, error)) error
 }
 
 func getRecord(tab reader, tree, sp, kind string) ([]byte, error) {
@@ -194,7 +195,7 @@ func getRecord(tab reader, tree, sp, kind string) ([]byte, error) {
 
 func listRecords(tab reader, tree, sp string) ([]Record, error) {
 	var out []Record
-	err := tab.IndexScan("by_species", []relstore.Value{relstore.Str(tree), relstore.Str(sp)},
+	err := tab.IndexScanCtx(context.TODO(), "by_species", []relstore.Value{relstore.Str(tree), relstore.Str(sp)},
 		func(row relstore.Row) (bool, error) {
 			out = append(out, Record{
 				Tree:    row[1].Text(),
@@ -312,7 +313,7 @@ func (r *Repo) DeleteTree(tree string) (int, error) {
 		return 0, err
 	}
 	var keys []string
-	err = tab.IndexScan("by_tree", []relstore.Value{relstore.Str(tree)}, func(row relstore.Row) (bool, error) {
+	err = tab.IndexScanCtx(context.TODO(), "by_tree", []relstore.Value{relstore.Str(tree)}, func(row relstore.Row) (bool, error) {
 		keys = append(keys, row[0].Text())
 		return true, nil
 	})

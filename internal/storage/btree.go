@@ -140,6 +140,9 @@ func (n *node) encodedSize() int {
 }
 
 func (n *node) encode(buf []byte) error {
+	if sz := n.encodedSize(); sz > len(buf) {
+		return fmt.Errorf("storage: encode node: %d bytes exceed the %d-byte page", sz, len(buf))
+	}
 	buf[0] = n.kind
 	binary.LittleEndian.PutUint16(buf[1:], uint16(len(n.keys)))
 	switch n.kind {
@@ -361,12 +364,7 @@ func (t *BTree) Has(key []byte) (bool, error) {
 // periodically; engine counters attribute to the request span carried by
 // ctx, if any.
 func (t *BTree) GetBatch(ctx context.Context, keys [][]byte) ([][]byte, []bool, error) {
-	return t.GetBatchC(ctx, keys, obs.CountersFrom(ctx))
-}
-
-// GetBatchC is GetBatch with explicit per-request counter attribution (c
-// may be nil).
-func (t *BTree) GetBatchC(ctx context.Context, keys [][]byte, c *obs.Counters) ([][]byte, []bool, error) {
+	c := obs.CountersFrom(ctx)
 	vals := make([][]byte, len(keys))
 	found := make([]bool, len(keys))
 	if len(keys) == 0 {
@@ -437,12 +435,7 @@ func (t *BTree) GetBatchC(ctx context.Context, keys [][]byte, c *obs.Counters) (
 // neighbors a point read already paid to decode instead of descending for
 // each of them separately.
 func (t *BTree) GetLeaf(ctx context.Context, key []byte) ([][]byte, [][]byte, error) {
-	return t.GetLeafC(key, obs.CountersFrom(ctx))
-}
-
-// GetLeafC is GetLeaf with explicit per-request counter attribution (c may
-// be nil).
-func (t *BTree) GetLeafC(key []byte, c *obs.Counters) ([][]byte, [][]byte, error) {
+	c := obs.CountersFrom(ctx)
 	obs.Engine.Add(obs.CtrBTreeDescents, 1)
 	c.Add(obs.CtrBTreeDescents, 1)
 	n, err := t.readNodeShared(t.root, c)
@@ -579,8 +572,37 @@ func (t *BTree) insert(pid PageID, key, value []byte, isOverflow bool) (PageID, 
 	return n.page, up, added, err
 }
 
+// splitIndex picks where an overfull node splits, given each entry's
+// encoded size: the index that best balances the bytes of the two halves.
+// promote is 1 for interior nodes, whose entry at the split index moves up
+// to the parent and so lands in neither half. Splitting by bytes rather
+// than by count keeps both halves of a one-entry-overfull page within
+// PageSize even when entry sizes are mixed (a leaf cell takes 5 to
+// 4+MaxKeySize+MaxInlineValue bytes). Ties go to the count midpoint, so
+// uniform entries split exactly as a count split would.
+func splitIndex(sizes []int, promote int) int {
+	total := 0
+	for _, sz := range sizes {
+		total += sz
+	}
+	mid := len(sizes) / 2
+	best, bestCost, left := 0, 0, 0
+	for i := 1; i+promote < len(sizes); i++ {
+		left += sizes[i-1]
+		c := max(left, total-left-promote*sizes[i])
+		if best == 0 || c < bestCost || (c == bestCost && i == mid) {
+			best, bestCost = i, c
+		}
+	}
+	return best
+}
+
 func (t *BTree) splitLeaf(n *node) (*splitResult, error) {
-	mid := len(n.keys) / 2
+	sizes := make([]int, len(n.keys))
+	for i, k := range n.keys {
+		sizes[i] = 4 + len(k) + len(n.vals[i])
+	}
+	mid := splitIndex(sizes, 0)
 	rid, err := t.store.Allocate()
 	if err != nil {
 		return nil, err
@@ -605,7 +627,11 @@ func (t *BTree) splitLeaf(n *node) (*splitResult, error) {
 }
 
 func (t *BTree) splitInternal(n *node) (*splitResult, error) {
-	mid := len(n.keys) / 2
+	sizes := make([]int, len(n.keys))
+	for i, k := range n.keys {
+		sizes[i] = 2 + len(k) + 8
+	}
+	mid := splitIndex(sizes, 1)
 	up := n.keys[mid]
 	rid, err := t.store.Allocate()
 	if err != nil {

@@ -127,7 +127,7 @@ func TestReadCacheHitsOnRepeatedDescents(t *testing.T) {
 	s := OpenMem()
 	defer s.Close()
 	s.SetReadCacheBytes(8 << 20)
-	if !s.ReadCacheEnabled() {
+	if s.rcache.Load() == nil {
 		t.Fatal("cache not enabled")
 	}
 	bt, err := NewBTree(s)

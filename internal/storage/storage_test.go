@@ -414,6 +414,48 @@ func TestBTreeOverflowValues(t *testing.T) {
 	}
 }
 
+// TestBTreeSplitsMixedSizeCells fills a leaf with tiny cells and then
+// appends near-maximal ones: a split by cell count would leave the right
+// half holding most of the bytes and overflow its page.
+func TestBTreeSplitsMixedSizeCells(t *testing.T) {
+	s := OpenMem()
+	defer s.Close()
+	tr, _ := NewBTree(s)
+	want := make(map[string][]byte)
+	put := func(i, vlen int) {
+		k := fmt.Sprintf("k%05d", i)
+		v := bytes.Repeat([]byte{byte(i)}, vlen)
+		if err := tr.Put([]byte(k), v); err != nil {
+			t.Fatalf("Put %s (%d bytes): %v", k, vlen, err)
+		}
+		want[k] = v
+	}
+	for i := 0; i < 200; i++ {
+		put(i, 1)
+	}
+	for i := 200; i < 400; i++ {
+		put(i, 1000)
+	}
+	for k, v := range want {
+		got, ok, err := tr.Get([]byte(k))
+		if err != nil || !ok || !bytes.Equal(got, v) {
+			t.Fatalf("Get %s: ok=%v err=%v len=%d, want len %d", k, ok, err, len(got), len(v))
+		}
+	}
+
+	// An overfull node is an encode error, never a write past the page.
+	big := make([]byte, MaxInlineValue)
+	over := &node{kind: pageLeaf}
+	for i := 0; i < 4; i++ {
+		over.keys = append(over.keys, []byte{byte(i)})
+		over.vals = append(over.vals, big)
+		over.overflow = append(over.overflow, false)
+	}
+	if err := over.encode(make([]byte, PageSize)); err == nil {
+		t.Fatalf("encoding a %d-byte leaf into one page succeeded", over.encodedSize())
+	}
+}
+
 func TestBTreeCursorOrder(t *testing.T) {
 	s := OpenMem()
 	defer s.Close()

@@ -1,6 +1,7 @@
 package treestore
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Export()
+	got, err := st.ExportCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestExportLargeTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Export()
+	got, err := st.ExportCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func TestLoadOptsConcurrentDistinctShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	infos, err := s.Trees()
+	infos, err := s.TreesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

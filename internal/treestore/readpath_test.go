@@ -6,8 +6,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/phylo"
+	"repro/internal/project"
+	"repro/internal/sample"
 	"repro/internal/treegen"
 )
 
@@ -26,25 +29,27 @@ func total(root *obs.Span, name string) int64 {
 }
 
 // TestProjectCacheCutsDecodesAndDescents is the headline acceptance check
-// for the hot read path: on a 10k-leaf tree, a k=50 projection with the
-// decoded-node cache enabled (warm) must issue at least 3x fewer B+tree
-// descents and decode at least 3x fewer cells than the same projection on
-// the legacy path, while producing the identical tree.
+// for the hot read path: on a 10k-leaf tree, a warm k=50 projection with
+// the decoded-node cache enabled must stay within absolute work bounds —
+// a third of the B+tree descents and decoded cells the old per-row read
+// path spent on the same projection (1145 and 225,139) — while producing
+// the in-memory planner's tree.
 func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-leaf tree load")
 	}
+	const (
+		maxDescents = 1145 / 3
+		maxCells    = 225139 / 3
+	)
 	gold, err := treegen.Yule(10000, 1.0, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := OpenMem()
 	defer s.Close()
-	if _, err := s.Load("big", gold, 4, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := s.Tree("big")
+	s.dbs[0].Store().SetReadCacheBytes(64 << 20)
+	st, err := s.Load("big", gold, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,70 +62,73 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 		ids[i] = n.ID
 	}
 
-	// Legacy path: cache disabled, per-row reads.
-	offCtx, offSpan := counterCtx()
-	want, err := st.ProjectCtx(offCtx, ids)
+	// One warm-up run so the interior working set is resident, then the
+	// measured run.
+	if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
+		t.Fatal(err)
+	}
+	ctx, span := counterCtx()
+	got, err := st.ProjectCtx(ctx, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	offDescents := total(offSpan, "btree_descents")
-	offCells := total(offSpan, "cells_decoded")
+	descents := total(span, "btree_descents")
+	cells := total(span, "cells_decoded")
 
-	// Fast path: cache on (handles opened now see it), one warm-up run so
-	// the interior working set is resident, then the measured run.
-	s.dbs[0].Store().SetReadCacheBytes(64 << 20)
-	fast, err := s.Tree("big")
+	ix, err := core.Build(gold, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fast.batch {
-		t.Fatal("tree handle did not pick up the batched fast path")
-	}
-	if _, err := fast.ProjectCtx(context.Background(), ids); err != nil {
-		t.Fatal(err)
-	}
-	onCtx, onSpan := counterCtx()
-	got, err := fast.ProjectCtx(onCtx, ids)
+	want, err := project.NewPlanner(gold, ix).Project(oracleNodes(gold, ids))
 	if err != nil {
 		t.Fatal(err)
 	}
-	onDescents := total(onSpan, "btree_descents")
-	onCells := total(onSpan, "cells_decoded")
+	if !phylo.Equal(got, want, 1e-9) {
+		t.Fatal("stored projection differs from the in-memory planner's")
+	}
+	if descents == 0 || descents > maxDescents {
+		t.Fatalf("btree_descents = %d, want 1..%d", descents, maxDescents)
+	}
+	if cells == 0 || cells > maxCells {
+		t.Fatalf("cells_decoded = %d, want 1..%d", cells, maxCells)
+	}
+	t.Logf("descents=%d (bound %d); cells=%d (bound %d)", descents, maxDescents, cells, maxCells)
+}
 
-	if !phylo.Equal(got, want, 1e-12) {
-		t.Fatal("cache-on projection differs from cache-off projection")
+// oracleNodes maps preorder ids to the in-memory tree's nodes.
+func oracleNodes(gold *phylo.Tree, ids []int) []*phylo.Node {
+	nodes := gold.Nodes()
+	out := make([]*phylo.Node, len(ids))
+	for i, id := range ids {
+		out[i] = nodes[id]
 	}
-	if onDescents == 0 || offDescents < 3*onDescents {
-		t.Fatalf("btree_descents: off=%d on=%d, want >= 3x reduction", offDescents, onDescents)
-	}
-	if onCells == 0 || offCells < 3*onCells {
-		t.Fatalf("cells_decoded: off=%d on=%d, want >= 3x reduction", offCells, onCells)
-	}
-	t.Logf("descents off=%d on=%d (%.1fx); cells off=%d on=%d (%.1fx)",
-		offDescents, onDescents, float64(offDescents)/float64(onDescents),
-		offCells, onCells, float64(offCells)/float64(onCells))
+	return out
 }
 
 // TestQueriesByteIdenticalAcrossCacheSizes runs the same query mix at every
-// cache configuration — disabled, too small to admit anything, small
-// enough to evict constantly, and comfortably large — and requires
-// identical answers from all of them.
+// cache configuration — none, too small to admit anything, small enough
+// to evict constantly, and comfortably large. Every answer must equal the
+// uncached run's exactly (projection and export at tolerance 0, each clade
+// row's full Node), and must also match the in-memory implementations:
+// project.Planner for the projection, core.Index for the LCAs and the
+// clade root, and the gold tree itself for the export and the clade's
+// members.
 func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
+	const fanout = 4
 	gold, err := treegen.Yule(2000, 1.0, rand.New(rand.NewSource(21)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := OpenMem()
 	defer s.Close()
-	if _, err := s.Load("t", gold, 4, nil); err != nil {
+	if _, err := s.Load("t", gold, fanout, nil); err != nil {
 		t.Fatal(err)
 	}
-	base, err := s.Tree("t")
+	ix, err := core.Build(gold, fanout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	sel, err := base.SampleUniformCtx(ctx, 40, rand.New(rand.NewSource(22)))
+	sel, err := sample.Uniform(gold, 40, rand.New(rand.NewSource(22)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +137,32 @@ func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 		ids[i] = n.ID
 	}
 
+	wantProject, err := project.NewPlanner(gold, ix).Project(oracleNodes(gold, ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantLCAs []int
+	for i := 0; i+1 < len(ids); i += 2 {
+		wantLCAs = append(wantLCAs, ix.LCA(ids[i], ids[i+1]))
+	}
+	cladeRoot := ids[0]
+	for _, id := range ids[1:] {
+		cladeRoot = ix.LCA(cladeRoot, id)
+	}
+	var wantClade []*phylo.Node
+	for _, n := range gold.Nodes() {
+		if ix.IsAncestor(cladeRoot, n.ID) {
+			wantClade = append(wantClade, n)
+		}
+	}
+
 	type answers struct {
 		project *phylo.Tree
 		export  *phylo.Tree
 		clade   []Node
 		lcas    []int
 	}
+	ctx := context.Background()
 	run := func(tr *Tree) (answers, error) {
 		var a answers
 		var err error
@@ -156,12 +184,44 @@ func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 		}
 		return a, nil
 	}
+	// checkOracle compares one run's answers with the in-memory
+	// implementations.
+	checkOracle := func(t *testing.T, pass int, a answers) {
+		t.Helper()
+		if !phylo.Equal(a.project, wantProject, 1e-9) {
+			t.Fatalf("pass %d: projection differs from project.Planner", pass)
+		}
+		if !phylo.Equal(a.export, gold, 0) {
+			t.Fatalf("pass %d: export differs from the gold tree", pass)
+		}
+		if len(a.clade) != len(wantClade) {
+			t.Fatalf("pass %d: clade size %d != %d", pass, len(a.clade), len(wantClade))
+		}
+		for i, n := range a.clade {
+			if n.ID != wantClade[i].ID || n.Name != wantClade[i].Name {
+				t.Fatalf("pass %d: clade[%d] = %d %q, want %d %q",
+					pass, i, n.ID, n.Name, wantClade[i].ID, wantClade[i].Name)
+			}
+		}
+		for i, want := range wantLCAs {
+			if a.lcas[i] != want {
+				t.Fatalf("pass %d: lca[%d] = %d != core.Index %d", pass, i, a.lcas[i], want)
+			}
+		}
+	}
 
-	want, err := run(base) // cache disabled: the reference answers
+	// The uncached run is the byte-level reference: every cache size must
+	// reproduce it exactly, down to each clade row's full Node.
+	s.dbs[0].Store().SetReadCacheBytes(0)
+	tr, err := s.Tree("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bytes := range []int64{64 << 10, 256 << 10, 64 << 20} {
+	ref, err := run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bytes := range []int64{0, 64 << 10, 256 << 10, 64 << 20} {
 		t.Run(fmt.Sprintf("cache=%d", bytes), func(t *testing.T) {
 			s.dbs[0].Store().SetReadCacheBytes(bytes)
 			tr, err := s.Tree("t")
@@ -173,23 +233,24 @@ func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !phylo.Equal(got.project, want.project, 0) {
-					t.Fatalf("pass %d: projection differs", pass)
+				checkOracle(t, pass, got)
+				if !phylo.Equal(got.project, ref.project, 0) {
+					t.Fatalf("pass %d: projection differs from the uncached run", pass)
 				}
-				if !phylo.Equal(got.export, want.export, 0) {
-					t.Fatalf("pass %d: export differs", pass)
+				if !phylo.Equal(got.export, ref.export, 0) {
+					t.Fatalf("pass %d: export differs from the uncached run", pass)
 				}
-				if len(got.clade) != len(want.clade) {
-					t.Fatalf("pass %d: clade size %d != %d", pass, len(got.clade), len(want.clade))
+				if len(got.clade) != len(ref.clade) {
+					t.Fatalf("pass %d: clade size %d != %d", pass, len(got.clade), len(ref.clade))
 				}
 				for i := range got.clade {
-					if got.clade[i] != want.clade[i] {
-						t.Fatalf("pass %d: clade[%d] differs", pass, i)
+					if got.clade[i] != ref.clade[i] {
+						t.Fatalf("pass %d: clade[%d] = %+v, uncached run %+v", pass, i, got.clade[i], ref.clade[i])
 					}
 				}
 				for i := range got.lcas {
-					if got.lcas[i] != want.lcas[i] {
-						t.Fatalf("pass %d: lca[%d] = %d != %d", pass, i, got.lcas[i], want.lcas[i])
+					if got.lcas[i] != ref.lcas[i] {
+						t.Fatalf("pass %d: lca[%d] = %d, uncached run %d", pass, i, got.lcas[i], ref.lcas[i])
 					}
 				}
 			}

@@ -45,11 +45,12 @@ var (
 
 // Store is the Tree Repository over a relational database.
 //
-// Concurrency: query methods on stored trees (Node, NodeByName, Children,
-// LCA, Frontier, LeavesUnder, Project, Sample*) run on the database's
-// read-lock path and may be called from many goroutines at once, including
-// while one writer goroutine is loading or deleting another tree — the
-// writer simply serializes against each individual read operation.
+// Concurrency: query methods on stored trees (NodeCtx, NodeByNameCtx,
+// ChildrenCtx, LCACtx, FrontierCtx, LeavesUnderCtx, ProjectCtx,
+// Sample*Ctx) run on the database's read-lock path and may be called from
+// many goroutines at once, including while one writer goroutine is loading
+// or deleting another tree — the writer simply serializes against each
+// individual read operation.
 //
 // For queries that must never wait on a writer at all — long analytical
 // reads overlapping bulk loads and deletes — take a Snapshot: tree handles
@@ -533,14 +534,12 @@ func (s *Store) LoadOpts(name string, t *phylo.Tree, f int, opts LoadOptions, pr
 // Tree opens a handle on a stored tree over the live tables of its shard.
 func (s *Store) Tree(name string) (*Tree, error) {
 	db := s.dbFor(name)
-	batch := db.Store().ReadCacheEnabled()
-	return openTree(name, func(tab string) (table, error) { return db.Table(tab) }, batch)
+	return openTree(name, func(tab string) (table, error) { return db.Table(tab) })
 }
 
 // openTree assembles a tree handle from whatever table source it is given
-// — the live database or a snapshot. batch selects the batched/memoized
-// read path (see Tree.batch).
-func openTree(name string, get func(string) (table, error), batch bool) (*Tree, error) {
+// — the live database or a snapshot.
+func openTree(name string, get func(string) (table, error)) (*Tree, error) {
 	trees, err := get("trees")
 	if err != nil {
 		if errors.Is(err, relstore.ErrNoTable) {
@@ -560,7 +559,7 @@ func openTree(name string, get func(string) (table, error), batch bool) (*Tree, 
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{info: info, nodes: nodeTab, batch: batch}
+	t := &Tree{info: info, nodes: nodeTab}
 	for k := 0; k < info.Layers; k++ {
 		subTab, err := get(subsTable(name, k))
 		if err != nil {
@@ -587,12 +586,6 @@ func decodeInfo(row relstore.Row) TreeInfo {
 		Layers: int(row[4].Int64()),
 		Depth:  int(row[5].Int64()),
 	}
-}
-
-// Trees lists all stored trees, fanning out over every shard and merging
-// the per-shard catalogs in name order.
-func (s *Store) Trees() ([]TreeInfo, error) {
-	return s.TreesCtx(context.Background())
 }
 
 // Snap is a point-in-time read view of the Tree Repository. Each shard's
@@ -662,14 +655,7 @@ func (sn *Snap) Close() {
 // snapshot was taken) ErrNoTree — never a torn state.
 func (sn *Snap) Tree(name string) (*Tree, error) {
 	rs := sn.sns[sn.router.Place(name)]
-	batch := rs.Store().ReadCacheEnabled()
-	return openTree(name, func(tab string) (table, error) { return rs.Table(tab) }, batch)
-}
-
-// Trees lists the trees stored as of the snapshot, merged across shards in
-// name order.
-func (sn *Snap) Trees() ([]TreeInfo, error) {
-	return sn.TreesCtx(context.Background())
+	return openTree(name, func(tab string) (table, error) { return rs.Table(tab) })
 }
 
 // Delete removes a stored tree and its relations from its shard.
@@ -751,27 +737,13 @@ type Tree struct {
 	nodes  table
 	layers []table // layer 1.. (index 0 = layer 1)
 	subs   []table // layer 0..
-
-	// batch selects the hot read path: node sets are fetched with batched
-	// point reads (GetBatchCtx) and the LCA recursion inside Project and
-	// MinimalSpanningClade runs over a request-scoped cell memo. It is set
-	// when the underlying store has the decoded-node read cache enabled —
-	// the two optimizations ship as one knob, so with the cache disabled
-	// queries take exactly the legacy per-row path. Both paths produce
-	// byte-identical results.
-	batch bool
 }
 
 // Info returns the tree's summary.
 func (t *Tree) Info() TreeInfo { return t.info }
 
-// Node fetches a node by preorder id.
-func (t *Tree) Node(id int) (Node, error) {
-	return t.NodeCtx(context.Background(), id)
-}
-
-// NodeCtx is Node attributing engine counters to the request span carried
-// by ctx, if any.
+// NodeCtx fetches a node by preorder id, attributing engine counters to
+// the request span carried by ctx, if any.
 func (t *Tree) NodeCtx(ctx context.Context, id int) (Node, error) {
 	row, ok, err := t.nodes.GetCtx(ctx, relstore.Int(int64(id)))
 	if err != nil {
@@ -800,14 +772,6 @@ func (t *Tree) NodeByNameCtx(ctx context.Context, name string) (Node, error) {
 	return *found, nil
 }
 
-// NodeByName fetches a node by species name.
-//
-// Deprecated: use NodeByNameCtx so the lookup participates in request
-// cancellation.
-func (t *Tree) NodeByName(name string) (Node, error) {
-	return t.NodeByNameCtx(context.Background(), name)
-}
-
 // ChildrenCtx lists a node's children in ordinal order under ctx. The
 // by_parent index is keyed (parent, id) and ids are preorder, so siblings
 // arrive from the scan already in ordinal order — ordinals are assigned in
@@ -823,14 +787,6 @@ func (t *Tree) ChildrenCtx(ctx context.Context, id int) ([]Node, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Children lists a node's children in ordinal order.
-//
-// Deprecated: use ChildrenCtx so the listing participates in request
-// cancellation.
-func (t *Tree) Children(id int) ([]Node, error) {
-	return t.ChildrenCtx(context.Background(), id)
 }
 
 // layerCell is the subset of fields the LCA recursion needs.
@@ -855,20 +811,27 @@ type cellMemoKey struct{ k, id int }
 // chains overlap heavily; the memo collapses those repeat chain walks into
 // map hits. It is request-scoped — created per call, never shared across
 // requests — and used from a single goroutine, so it needs no locking.
-// All methods are nil-safe: a nil memo disables memoization, which is the
-// legacy path.
+// All methods are nil-safe: a nil memo disables memoization, which is how
+// a single-pair LCA runs.
 type cellMemo struct {
 	m    map[cellMemoKey]layerCell
 	subs map[cellMemoKey]int // (layer, subtree) -> source node id
 	rows map[int]Node        // layer-0 node rows
 }
 
-func newCellMemo() *cellMemo {
-	return &cellMemo{
+// newCellMemo returns a request memo seeded with the given layer-0 rows
+// and their cells.
+func newCellMemo(rows []Node) *cellMemo {
+	memo := &cellMemo{
 		m:    make(map[cellMemoKey]layerCell),
 		subs: make(map[cellMemoKey]int),
 		rows: make(map[int]Node),
 	}
+	for _, r := range rows {
+		memo.putRow(r)
+		memo.put(0, r.ID, layerCell{sub: r.Sub, lparent: r.LocalParent, ldepth: r.LocalDepth})
+	}
+	return memo
 }
 
 func (m *cellMemo) get(k, id int) (layerCell, bool) {
@@ -927,6 +890,12 @@ func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, 
 	}
 	if c, ok := memo.get(k, id); ok {
 		return c, nil
+	}
+	// k comes from stored rows: a live handle whose tree was reloaded
+	// underneath it can read a subtree id from the new version that
+	// points past this handle's layers.
+	if k > len(t.layers) {
+		return layerCell{}, fmt.Errorf("%w: layer %d of a %d-layer handle", ErrNoNode, k, len(t.layers)+1)
 	}
 	// Point-read failures after the context died are reported as the
 	// cancellation: a cancelled reader whose snapshot pins were released
@@ -1016,6 +985,9 @@ func (t *Tree) subSource(ctx context.Context, memo *cellMemo, k, s int) (int, er
 	if src, ok := memo.getSub(k, s); ok {
 		return src, nil
 	}
+	if k >= len(t.subs) {
+		return 0, fmt.Errorf("%w: layer %d of a %d-layer handle", ErrNoNode, k, len(t.subs))
+	}
 	if memo != nil {
 		rows, err := t.subs[k].GetLeafCtx(ctx, relstore.Int(int64(s)))
 		if err != nil {
@@ -1051,14 +1023,6 @@ func (t *Tree) subSource(ctx context.Context, memo *cellMemo, k, s int) (int, er
 // fetching only the rows the query touches.
 func (t *Tree) LCACtx(ctx context.Context, a, b int) (int, error) {
 	return t.lcaAt(ctx, nil, 0, a, b)
-}
-
-// LCA answers least-common-ancestor queries against the stored relations.
-//
-// Deprecated: use LCACtx so the recursion participates in request
-// cancellation.
-func (t *Tree) LCA(a, b int) (int, error) {
-	return t.LCACtx(context.Background(), a, b)
 }
 
 func (t *Tree) lcaAt(ctx context.Context, memo *cellMemo, k, a, b int) (int, error) {
@@ -1138,14 +1102,6 @@ func (t *Tree) IsAncestorCtx(ctx context.Context, a, b int) (bool, error) {
 	return l == a, err
 }
 
-// IsAncestor reports whether a is a (non-strict) ancestor of b.
-//
-// Deprecated: use IsAncestorCtx so the check participates in request
-// cancellation.
-func (t *Tree) IsAncestor(a, b int) (bool, error) {
-	return t.IsAncestorCtx(context.Background(), a, b)
-}
-
 // FrontierCtx returns the maximal nodes whose root distance exceeds time
 // under ctx, found with a range scan on the by_dist index plus one parent
 // fetch per candidate — no full-tree traversal. Candidates are collected
@@ -1171,7 +1127,7 @@ func (t *Tree) FrontierCtx(ctx context.Context, time float64) ([]Node, error) {
 			out = append(out, n)
 			continue
 		}
-		p, err := t.Node(n.Parent)
+		p, err := t.NodeCtx(ctx, n.Parent)
 		if err != nil {
 			return nil, err
 		}
@@ -1183,19 +1139,11 @@ func (t *Tree) FrontierCtx(ctx context.Context, time float64) ([]Node, error) {
 	return out, nil
 }
 
-// Frontier returns the maximal nodes whose root distance exceeds time.
-//
-// Deprecated: use FrontierCtx so the scan participates in request
-// cancellation.
-func (t *Tree) Frontier(time float64) ([]Node, error) {
-	return t.FrontierCtx(context.Background(), time)
-}
-
 // LeavesUnderCtx returns the leaves in the clade rooted at id under ctx,
 // using the preorder-range property (descendants occupy ids
 // [id, id+size)).
 func (t *Tree) LeavesUnderCtx(ctx context.Context, id int) ([]Node, error) {
-	n, err := t.Node(id)
+	n, err := t.NodeCtx(ctx, id)
 	if err != nil {
 		return nil, err
 	}
@@ -1208,14 +1156,6 @@ func (t *Tree) LeavesUnderCtx(ctx context.Context, id int) ([]Node, error) {
 		return true, nil
 	})
 	return out, err
-}
-
-// LeavesUnder returns the leaves in the clade rooted at id.
-//
-// Deprecated: use LeavesUnderCtx so the scan participates in request
-// cancellation.
-func (t *Tree) LeavesUnder(id int) ([]Node, error) {
-	return t.LeavesUnderCtx(context.Background(), id)
 }
 
 // MinimalSpanningCladeCtx returns all nodes of the clade rooted at the LCA
@@ -1236,7 +1176,7 @@ func (t *Tree) MinimalSpanningCladeCtx(ctx context.Context, ids []int) ([]Node, 
 			return nil, err
 		}
 	}
-	root, err := t.Node(l)
+	root, err := t.NodeCtx(ctx, l)
 	if err != nil {
 		return nil, err
 	}
@@ -1246,15 +1186,6 @@ func (t *Tree) MinimalSpanningCladeCtx(ctx context.Context, ids []int) ([]Node, 
 		return true, nil
 	})
 	return out, err
-}
-
-// MinimalSpanningClade returns all nodes of the clade rooted at the LCA of
-// the given nodes.
-//
-// Deprecated: use MinimalSpanningCladeCtx so the query participates in
-// request cancellation.
-func (t *Tree) MinimalSpanningClade(ids []int) ([]Node, error) {
-	return t.MinimalSpanningCladeCtx(context.Background(), ids)
 }
 
 // SampleUniformCtx draws k distinct random leaves under ctx using
@@ -1302,14 +1233,6 @@ func (t *Tree) SampleUniformCtx(ctx context.Context, k int, r *rand.Rand) ([]Nod
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// SampleUniform draws k distinct random leaves.
-//
-// Deprecated: use SampleUniformCtx so the draw participates in request
-// cancellation.
-func (t *Tree) SampleUniform(k int, r *rand.Rand) ([]Node, error) {
-	return t.SampleUniformCtx(context.Background(), k, r)
 }
 
 // SampleWithTimeCtx implements the paper's time-constrained sampling
@@ -1386,55 +1309,33 @@ func (t *Tree) SampleWithTimeCtx(ctx context.Context, time float64, k int, r *ra
 	return out, nil
 }
 
-// SampleWithTime implements the paper's time-constrained sampling.
-//
-// Deprecated: use SampleWithTimeCtx so the sampling participates in
-// request cancellation.
-func (t *Tree) SampleWithTime(time float64, k int, r *rand.Rand) ([]Node, error) {
-	return t.SampleWithTimeCtx(context.Background(), time, k, r)
-}
-
-// fetchNodes fetches the rows for the given ids. On the batched path one
-// GetBatchCtx call fetches all of them in leaf order (one B+tree descent
-// per distinct leaf); on the legacy path each id is an independent point
-// read. Any missing id is an ErrNoNode error.
+// fetchNodes fetches the rows for the given ids with one GetBatchCtx
+// call, in leaf order (one B+tree descent per distinct leaf). Any missing
+// id is an ErrNoNode error.
 func (t *Tree) fetchNodes(ctx context.Context, ids []int) ([]Node, error) {
-	rows := make([]Node, len(ids))
-	if t.batch {
-		keys := make([]relstore.Value, len(ids))
-		for i, id := range ids {
-			keys[i] = relstore.Int(int64(id))
-		}
-		raw, found, err := t.nodes.GetBatchCtx(ctx, keys)
-		if err != nil {
-			return nil, err
-		}
-		for i, id := range ids {
-			if !found[i] {
-				return nil, fmt.Errorf("%w: id %d", ErrNoNode, id)
-			}
-			rows[i] = decodeNode(raw[i])
-		}
-		return rows, nil
-	}
+	keys := make([]relstore.Value, len(ids))
 	for i, id := range ids {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		keys[i] = relstore.Int(int64(id))
+	}
+	raw, found, err := t.nodes.GetBatchCtx(ctx, keys)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Node, len(ids))
+	for i, id := range ids {
+		if !found[i] {
+			return nil, fmt.Errorf("%w: id %d", ErrNoNode, id)
 		}
-		var err error
-		if rows[i], err = t.NodeCtx(ctx, id); err != nil {
-			return nil, err
-		}
+		rows[i] = decodeNode(raw[i])
 	}
 	return rows, nil
 }
 
 // seedMemo builds a request-scoped cell memo for an LCA fold over ids,
 // prefetching their rows in one leaf-order batch and seeding the layer-0
-// cells. On the legacy path (batch off) it returns a nil memo, which the
-// recursion treats as no memoization at all.
+// cells. A single id needs no LCA, so it gets a nil memo.
 func (t *Tree) seedMemo(ctx context.Context, ids []int) (*cellMemo, error) {
-	if !t.batch || len(ids) < 2 {
+	if len(ids) < 2 {
 		return nil, nil
 	}
 	uniq := append([]int(nil), ids...)
@@ -1450,12 +1351,7 @@ func (t *Tree) seedMemo(ctx context.Context, ids []int) (*cellMemo, error) {
 	if err != nil {
 		return nil, err
 	}
-	memo := newCellMemo()
-	for _, r := range rows {
-		memo.putRow(r)
-		memo.put(0, r.ID, layerCell{sub: r.Sub, lparent: r.LocalParent, ldepth: r.LocalDepth})
-	}
-	return memo, nil
+	return newCellMemo(rows), nil
 }
 
 // ProjectCtx computes the tree projection over the given node ids under
@@ -1494,18 +1390,11 @@ func (t *Tree) ProjectCtx(ctx context.Context, ids []int) (*phylo.Tree, error) {
 	}
 	lcaCtx, lcaSpan := obs.StartSpan(ctx, "lca_walk")
 	defer lcaSpan.End()
-	// On the batched path the LCA walk runs over a request-scoped memo,
-	// seeded with the layer-0 cells of the rows just fetched: consecutive
-	// pairs share long ancestor chains, and the memo collapses the repeat
-	// chain reads into map hits.
-	var memo *cellMemo
-	if t.batch {
-		memo = newCellMemo()
-		for _, r := range rows {
-			memo.putRow(r)
-			memo.put(0, r.ID, layerCell{sub: r.Sub, lparent: r.LocalParent, ldepth: r.LocalDepth})
-		}
-	}
+	// The LCA walk runs over a request-scoped memo, seeded with the
+	// layer-0 cells of the rows just fetched: consecutive pairs share long
+	// ancestor chains, and the memo collapses the repeat chain reads into
+	// map hits.
+	memo := newCellMemo(rows)
 	stack := []*entry{{row: rows[0], nw: &phylo.Node{Name: rows[0].Name}}}
 	for _, x := range rows[1:] {
 		top := stack[len(stack)-1]
@@ -1553,14 +1442,6 @@ func (t *Tree) ProjectCtx(ctx context.Context, ids []int) (*phylo.Tree, error) {
 	return tr, nil
 }
 
-// Project computes the tree projection over the given node ids.
-//
-// Deprecated: use ProjectCtx so the projection participates in request
-// cancellation.
-func (t *Tree) Project(ids []int) (*phylo.Tree, error) {
-	return t.ProjectCtx(context.Background(), ids)
-}
-
 // ExportCtx rebuilds the complete in-memory tree from the stored relation
 // under ctx — the inverse of Load. One primary-key scan; used to hand a
 // stored gold tree to in-memory tooling (e.g. the Benchmark Manager). For
@@ -1595,15 +1476,6 @@ func (t *Tree) ExportCtx(ctx context.Context) (*phylo.Tree, error) {
 	return out, nil
 }
 
-// Export rebuilds the complete in-memory tree from the stored relation.
-//
-// Deprecated: use ExportCtx (or ExportNewickTo for serialization, which
-// streams in bounded memory) so the scan participates in request
-// cancellation.
-func (t *Tree) Export() (*phylo.Tree, error) {
-	return t.ExportCtx(context.Background())
-}
-
 // ProjectNamesCtx projects over species names under ctx.
 func (t *Tree) ProjectNamesCtx(ctx context.Context, names []string) (*phylo.Tree, error) {
 	resolveCtx, resolveSpan := obs.StartSpan(ctx, "resolve_names")
@@ -1618,12 +1490,4 @@ func (t *Tree) ProjectNamesCtx(ctx context.Context, names []string) (*phylo.Tree
 	}
 	resolveSpan.End()
 	return t.ProjectCtx(ctx, ids)
-}
-
-// ProjectNames projects over species names.
-//
-// Deprecated: use ProjectNamesCtx so the projection participates in
-// request cancellation.
-func (t *Tree) ProjectNames(names []string) (*phylo.Tree, error) {
-	return t.ProjectNamesCtx(context.Background(), names)
 }

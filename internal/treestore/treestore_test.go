@@ -1,6 +1,7 @@
 package treestore
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -61,32 +62,33 @@ func TestLoadAndInfo(t *testing.T) {
 }
 
 func TestNodeAccess(t *testing.T) {
+	ctx := context.Background()
 	_, tr := loadFigure1(t, 2)
-	syn, err := tr.NodeByName("Syn")
+	syn, err := tr.NodeByNameCtx(ctx, "Syn")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !syn.Leaf || syn.Dist != 2.5 || syn.Depth != 1 {
 		t.Fatalf("Syn row = %+v", syn)
 	}
-	root, err := tr.Node(0)
+	root, err := tr.NodeCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if root.Parent != -1 || root.Size != 8 {
 		t.Fatalf("root row = %+v", root)
 	}
-	kids, err := tr.Children(0)
+	kids, err := tr.ChildrenCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(kids) != 3 || kids[0].Name != "Syn" || kids[0].Ord != 1 {
 		t.Fatalf("children = %+v", kids)
 	}
-	if _, err := tr.Node(99); !errors.Is(err, ErrNoNode) {
+	if _, err := tr.NodeCtx(ctx, 99); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("missing node error = %v", err)
 	}
-	if _, err := tr.NodeByName("Ghost"); !errors.Is(err, ErrNoNode) {
+	if _, err := tr.NodeByNameCtx(ctx, "Ghost"); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("missing name error = %v", err)
 	}
 }
@@ -94,30 +96,31 @@ func TestNodeAccess(t *testing.T) {
 // TestStoredLCAMatchesPaper replays the paper's cross-layer walkthrough
 // against the relational store.
 func TestStoredLCAMatchesPaper(t *testing.T) {
+	ctx := context.Background()
 	_, tr := loadFigure1(t, 2)
-	syn, _ := tr.NodeByName("Syn")
-	lla, _ := tr.NodeByName("Lla")
-	spy, _ := tr.NodeByName("Spy")
-	l, err := tr.LCA(syn.ID, lla.ID)
+	syn, _ := tr.NodeByNameCtx(ctx, "Syn")
+	lla, _ := tr.NodeByNameCtx(ctx, "Lla")
+	spy, _ := tr.NodeByNameCtx(ctx, "Spy")
+	l, err := tr.LCACtx(ctx, syn.ID, lla.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l != 0 {
 		t.Fatalf("LCA(Syn, Lla) = %d, want root (0)", l)
 	}
-	l, err = tr.LCA(lla.ID, spy.ID)
+	l, err = tr.LCACtx(ctx, lla.ID, spy.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lrow, _ := tr.Node(l)
+	lrow, _ := tr.NodeCtx(ctx, l)
 	if lrow.Leaf || lrow.Depth != 2 {
 		t.Fatalf("LCA(Lla, Spy) = %+v, want y at depth 2", lrow)
 	}
-	ok, err := tr.IsAncestor(0, lla.ID)
+	ok, err := tr.IsAncestorCtx(ctx, 0, lla.ID)
 	if err != nil || !ok {
 		t.Fatalf("IsAncestor(root, Lla) = %v, %v", ok, err)
 	}
-	ok, err = tr.IsAncestor(lla.ID, 0)
+	ok, err = tr.IsAncestorCtx(ctx, lla.ID, 0)
 	if err != nil || ok {
 		t.Fatalf("IsAncestor(Lla, root) = %v, %v", ok, err)
 	}
@@ -148,7 +151,7 @@ func TestStoredLCAMatchesCoreProperty(t *testing.T) {
 			a := r.Intn(gold.NumNodes())
 			b := r.Intn(gold.NumNodes())
 			want := ix.LCA(a, b)
-			got, err := st.LCA(a, b)
+			got, err := st.LCACtx(context.Background(), a, b)
 			if err != nil || got != want {
 				t.Logf("seed %d: LCA(%d,%d) = %d,%v want %d", seed, a, b, got, err, want)
 				return false
@@ -161,9 +164,66 @@ func TestStoredLCAMatchesCoreProperty(t *testing.T) {
 	}
 }
 
+// TestLCAOutOfRangeLayerIsError pins that a handle whose layer slices are
+// shorter than the layer ids its rows name — a live handle whose tree was
+// reloaded underneath it — gets ErrNoNode from LCACtx, not an index panic.
+func TestLCAOutOfRangeLayerIsError(t *testing.T) {
+	gold, err := treegen.Yule(300, 1.0, rand.New(rand.NewSource(41)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := OpenMem()
+	defer s.Close()
+	if _, err := s.Load("t", gold, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	probe, err := s.Tree("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.layers) == 0 {
+		t.Fatal("tree has a single layer; the check needs two")
+	}
+	// a and b sit in different layer-0 subtrees, so their LCA recurses
+	// into layer 1 and ascends through the subtree relation.
+	a, err := probe.NodeCtx(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := -1
+	for id := gold.NumNodes() - 1; id > 0 && b < 0; id-- {
+		n, err := probe.NodeCtx(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Sub != a.Sub {
+			b = id
+		}
+	}
+	if b < 0 {
+		t.Fatal("no pair spans two layer-0 subtrees")
+	}
+	for name, truncate := range map[string]func(*Tree){
+		"layers": func(tr *Tree) { tr.layers = tr.layers[:0] },
+		"subs":   func(tr *Tree) { tr.subs = tr.subs[:0] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr, err := s.Tree("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			truncate(tr)
+			if _, err := tr.LCACtx(ctx, a.ID, b); !errors.Is(err, ErrNoNode) {
+				t.Fatalf("LCACtx = %v, want ErrNoNode", err)
+			}
+		})
+	}
+}
+
 func TestFrontierMatchesInMemory(t *testing.T) {
 	_, tr := loadFigure1(t, 2)
-	front, err := tr.Frontier(1)
+	front, err := tr.FrontierCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +240,7 @@ func TestFrontierMatchesInMemory(t *testing.T) {
 		}
 	}
 	// Strictness at the boundary.
-	front, err = tr.Frontier(1.25)
+	front, err = tr.FrontierCtx(context.Background(), 1.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,21 +252,22 @@ func TestFrontierMatchesInMemory(t *testing.T) {
 }
 
 func TestLeavesUnderAndClade(t *testing.T) {
+	ctx := context.Background()
 	_, tr := loadFigure1(t, 2)
-	lla, _ := tr.NodeByName("Lla")
-	spy, _ := tr.NodeByName("Spy")
-	yID, err := tr.LCA(lla.ID, spy.ID)
+	lla, _ := tr.NodeByNameCtx(ctx, "Lla")
+	spy, _ := tr.NodeByNameCtx(ctx, "Spy")
+	yID, err := tr.LCACtx(ctx, lla.ID, spy.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaves, err := tr.LeavesUnder(yID)
+	leaves, err := tr.LeavesUnderCtx(ctx, yID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(leaves) != 2 {
 		t.Fatalf("leaves under y = %d", len(leaves))
 	}
-	clade, err := tr.MinimalSpanningClade([]int{lla.ID, spy.ID})
+	clade, err := tr.MinimalSpanningCladeCtx(ctx, []int{lla.ID, spy.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +275,8 @@ func TestLeavesUnderAndClade(t *testing.T) {
 		t.Fatalf("clade size = %d, want 3", len(clade))
 	}
 	// Clade of Syn and Lla spans the whole tree.
-	syn, _ := tr.NodeByName("Syn")
-	clade, err = tr.MinimalSpanningClade([]int{syn.ID, lla.ID})
+	syn, _ := tr.NodeByNameCtx(ctx, "Syn")
+	clade, err = tr.MinimalSpanningCladeCtx(ctx, []int{syn.ID, lla.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,9 +286,10 @@ func TestLeavesUnderAndClade(t *testing.T) {
 }
 
 func TestStoredSampling(t *testing.T) {
+	ctx := context.Background()
 	_, tr := loadFigure1(t, 2)
 	r := rand.New(rand.NewSource(2))
-	got, err := tr.SampleUniform(3, r)
+	got, err := tr.SampleUniformCtx(ctx, 3, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +303,13 @@ func TestStoredSampling(t *testing.T) {
 		}
 		seen[n.ID] = true
 	}
-	if _, err := tr.SampleUniform(6, r); err == nil {
+	if _, err := tr.SampleUniformCtx(ctx, 6, r); err == nil {
 		t.Fatal("oversample accepted")
 	}
 	// Time-constrained: replicate the paper's walkthrough.
 	for seed := int64(0); seed < 20; seed++ {
 		rr := rand.New(rand.NewSource(seed))
-		got, err := tr.SampleWithTime(1, 4, rr)
+		got, err := tr.SampleWithTimeCtx(ctx, 1, 4, rr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +324,7 @@ func TestStoredSampling(t *testing.T) {
 			t.Fatalf("seed %d: neither Lla nor Spy sampled", seed)
 		}
 	}
-	if _, err := tr.SampleWithTime(100, 1, r); err == nil {
+	if _, err := tr.SampleWithTimeCtx(ctx, 100, 1, r); err == nil {
 		t.Fatal("empty frontier accepted")
 	}
 }
@@ -270,7 +332,7 @@ func TestStoredSampling(t *testing.T) {
 // TestStoredProjectionFigure2 reproduces Figure 2 against the store.
 func TestStoredProjectionFigure2(t *testing.T) {
 	_, tr := loadFigure1(t, 2)
-	got, err := tr.ProjectNames([]string{"Bha", "Lla", "Syn"})
+	got, err := tr.ProjectNamesCtx(context.Background(), []string{"Bha", "Lla", "Syn"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +373,7 @@ func TestStoredProjectionMatchesMemoryProperty(t *testing.T) {
 			ids[i] = n.ID
 			names[i] = n.Name
 		}
-		got, err := st.Project(ids)
+		got, err := st.ProjectCtx(context.Background(), ids)
 		if err != nil {
 			t.Logf("stored project: %v", err)
 			return false
@@ -332,6 +394,7 @@ func TestStoredProjectionMatchesMemoryProperty(t *testing.T) {
 }
 
 func TestPersistAcrossReopen(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "repo.db")
 	s, err := Open(path)
@@ -350,7 +413,7 @@ func TestPersistAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	infos, err := s.Trees()
+	infos, err := s.TreesCtx(ctx)
 	if err != nil || len(infos) != 1 || infos[0].Name != "fig1" {
 		t.Fatalf("Trees after reopen = %v, %v", infos, err)
 	}
@@ -358,12 +421,12 @@ func TestPersistAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn, err := tr.NodeByName("Syn")
+	syn, err := tr.NodeByNameCtx(ctx, "Syn")
 	if err != nil || syn.Dist != 2.5 {
 		t.Fatalf("Syn after reopen = %+v, %v", syn, err)
 	}
-	lla, _ := tr.NodeByName("Lla")
-	l, err := tr.LCA(syn.ID, lla.ID)
+	lla, _ := tr.NodeByNameCtx(ctx, "Lla")
+	l, err := tr.LCACtx(ctx, syn.ID, lla.ID)
 	if err != nil || l != 0 {
 		t.Fatalf("LCA after reopen = %d, %v", l, err)
 	}
@@ -412,7 +475,7 @@ func TestDeepStoredTree(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a, b := r.Intn(gold.NumNodes()), r.Intn(gold.NumNodes())
 		want := ix.LCA(a, b)
-		got, err := st.LCA(a, b)
+		got, err := st.LCACtx(context.Background(), a, b)
 		if err != nil || got != want {
 			t.Fatalf("deep LCA(%d,%d) = %d,%v want %d", a, b, got, err, want)
 		}

@@ -1,6 +1,7 @@
 package crimson_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -30,6 +31,7 @@ import (
 // the live and snapshot during-load arms to see the locking effect in
 // isolation.
 func BenchmarkReadDuringLoad(b *testing.B) {
+	ctx := context.Background()
 	base := yuleTree(b, 2000)
 	churn := yuleTree(b, 10000)
 
@@ -41,7 +43,7 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			if _, err := st.LCA(r.Intn(nodes), r.Intn(nodes)); err != nil {
+			if _, err := st.LCACtx(ctx, r.Intn(nodes), r.Intn(nodes)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -53,7 +55,7 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := st.LCA(r.Intn(nodes), r.Intn(nodes)); err != nil {
+			if _, err := st.LCACtx(ctx, r.Intn(nodes), r.Intn(nodes)); err != nil {
 				b.Fatal(err)
 			}
 			sn.Close()
@@ -64,7 +66,7 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 		if err != nil {
 			return nil
 		}
-		rows, err := st.SampleUniform(20, rand.New(rand.NewSource(7)))
+		rows, err := st.SampleUniformCtx(ctx, 20, rand.New(rand.NewSource(7)))
 		if err != nil {
 			return nil
 		}
@@ -82,7 +84,7 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := st.Project(ids); err != nil {
+			if _, err := st.ProjectCtx(ctx, ids); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -96,7 +98,7 @@ func BenchmarkReadDuringLoad(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := st.Project(ids); err != nil {
+			if _, err := st.ProjectCtx(ctx, ids); err != nil {
 				b.Fatal(err)
 			}
 			sn.Close()

@@ -1,6 +1,7 @@
 package crimson_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -19,6 +20,7 @@ import (
 // lives on shard 0, and reopening — with the count auto-detected or given
 // explicitly — finds every tree in place.
 func TestShardedRepositoryEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "repo")
 	repo, err := crimson.OpenSharded(path, 4)
 	if err != nil {
@@ -48,7 +50,7 @@ func TestShardedRepositoryEndToEnd(t *testing.T) {
 	}
 
 	// The merged listing sees every tree exactly once, in name order.
-	infos, err := repo.Trees.Trees()
+	infos, err := repo.Trees.TreesCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestShardedRepositoryEndToEnd(t *testing.T) {
 		if st.Info().Leaves != leaves[name] {
 			t.Fatalf("%s has %d leaves, want %d", name, st.Info().Leaves, leaves[name])
 		}
-		if _, err := st.LCA(1, 2); err != nil {
+		if _, err := st.LCACtx(ctx, 1, 2); err != nil {
 			t.Fatalf("LCA on %s: %v", name, err)
 		}
 		data, err := repo.Species.Get(name, "s1", "seq:test")
@@ -80,7 +82,7 @@ func TestShardedRepositoryEndToEnd(t *testing.T) {
 	}
 
 	// History records from every load are readable (they live on shard 0).
-	entries, err := repo.Queries.ByKind("load")
+	entries, err := repo.Queries.ByKindCtx(ctx, "load")
 	if err != nil {
 		t.Fatal(err)
 	}
