@@ -450,9 +450,10 @@ func (r *Repository) Shards() int { return r.router.N() }
 
 // SetReadCacheMB (re)configures the decoded-node read cache of every
 // shard's storage engine, splitting the budget evenly across shards. The
-// cache keys decoded interior B+tree nodes by (page, epoch) — immutable
-// under copy-on-write commits — so hot descents skip the copy+decode per
-// level. mb <= 0 means no cache: every descent decodes its nodes afresh.
+// cache keys decoded B+tree nodes, leaves and interior nodes alike, by
+// (page, epoch) — immutable under copy-on-write commits — so hot descents
+// skip the copy+decode per level and a warm leaf is never decoded again.
+// mb <= 0 means no cache: every descent decodes its nodes afresh.
 // The budget only sizes the cache; tree queries run the same batched
 // read algorithm at every size, and results are byte-identical.
 func (r *Repository) SetReadCacheMB(mb int) {

@@ -54,7 +54,7 @@ const (
 	CtrWALSyncs
 	// CtrReadCacheHits counts decoded-node cache hits on the read path.
 	CtrReadCacheHits
-	// CtrReadCacheMisses counts decoded-node cache misses (cacheable
+	// CtrReadCacheMisses counts decoded-node cache misses (leaf and
 	// interior nodes that had to be decoded from the page).
 	CtrReadCacheMisses
 	// CtrReadCacheEvicts counts decoded-node cache evictions under the

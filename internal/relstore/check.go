@@ -8,8 +8,10 @@ import (
 // database: B+tree structural invariants (key ordering, uniform depth),
 // row decodability against the schema, and bidirectional consistency
 // between each table and its secondary indexes (every row has exactly its
-// index entries; every index entry resolves to a live row). It is the
-// backing of the CLI's fsck command. The per-table logic lives on
+// index entries; every index entry resolves to a live row), and coherence
+// of the storage engine's decoded-node cache (every cached node still
+// re-encodes to its page's bytes). It is the backing of the CLI's fsck
+// command. The per-table logic lives on
 // TableView.Check, so snapshots can be checked the same way.
 func (db *DB) Check() error {
 	// Synchronous checkpoint fallback: flush the writeback table first so
@@ -37,5 +39,5 @@ func (db *DB) Check() error {
 			return err
 		}
 	}
-	return nil
+	return db.store.CheckReadCache()
 }

@@ -332,7 +332,7 @@ var engineHelp = map[string]string{
 	"wal_bytes":                  "Bytes appended to the write-ahead log.",
 	"wal_syncs":                  "Write-ahead log fsyncs.",
 	"read_cache_hits":            "Decoded-node read cache hits.",
-	"read_cache_misses":          "Decoded-node read cache misses (cacheable interior nodes decoded).",
+	"read_cache_misses":          "Decoded-node read cache misses (leaf and interior nodes decoded).",
 	"read_cache_evicts":          "Decoded-node read cache evictions under the byte budget.",
 	"commits":                    "Storage-engine commits made durable.",
 	"group_commit_batches":       "WAL batches flushed by group commit (each is one fsync).",

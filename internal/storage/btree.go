@@ -46,8 +46,12 @@ const (
 //
 // Concurrency: read operations (Get, Has, Len, First, Seek and cursor
 // iteration) are safe to call from many goroutines at once — every node
-// read copies page contents out of the store, so readers never share
-// mutable state. Mutations (Put, Delete, BulkLoad) require exclusive
+// read decodes a copy of the page, or shares an immutable decode through
+// the store's read cache, so readers never share mutable state. Keys and
+// values returned by reads (Get, GetBatch, GetLeaf, Scan, Cursor.Key and
+// Cursor.Value) may be shared with other goroutines and with the cache:
+// they are read-only, and a caller that needs to modify one copies it
+// first. Mutations (Put, Delete, BulkLoad) require exclusive
 // access: callers must ensure no reader of the SAME BTree handle or other
 // writer runs concurrently (package relstore enforces this with a
 // database-level mutex; snapshot readers use their own BTree handles over
@@ -222,60 +226,144 @@ func (t *BTree) readNodeC(id PageID, c *obs.Counters) (*node, error) {
 	if t.pinned && t.store.snapshotInvalid(t.epoch) {
 		return nil, ErrSnapshotInvalidated
 	}
-	n := &node{kind: buf[0], page: id}
-	nkeys := int(binary.LittleEndian.Uint16(buf[1:]))
-	switch n.kind {
-	case pageLeaf:
-		off := leafHeaderSize
-		n.keys = make([][]byte, nkeys)
-		n.vals = make([][]byte, nkeys)
-		n.overflow = make([]bool, nkeys)
-		for i := 0; i < nkeys; i++ {
-			klen := int(binary.LittleEndian.Uint16(buf[off:]))
-			vmeta := binary.LittleEndian.Uint16(buf[off+2:])
-			vlen := int(vmeta & 0x7fff)
-			n.overflow[i] = vmeta&0x8000 != 0
-			off += 4
-			n.keys[i] = append([]byte(nil), buf[off:off+klen]...)
-			off += klen
-			n.vals[i] = append([]byte(nil), buf[off:off+vlen]...)
-			off += vlen
-		}
-	case pageInternal:
-		n.children = make([]PageID, 1, nkeys+1)
-		n.children[0] = PageID(binary.LittleEndian.Uint64(buf[3:]))
-		off := internalHeaderSize
-		n.keys = make([][]byte, nkeys)
-		for i := 0; i < nkeys; i++ {
-			klen := int(binary.LittleEndian.Uint16(buf[off:]))
-			off += 2
-			n.keys[i] = append([]byte(nil), buf[off:off+klen]...)
-			off += klen
-			n.children = append(n.children, PageID(binary.LittleEndian.Uint64(buf[off:])))
-			off += 8
-		}
-	default:
-		return nil, fmt.Errorf("storage: page %d is not a tree node (kind %d)", id, n.kind)
+	n, err := decodeNode(id, buf[:])
+	if err != nil {
+		return nil, err
 	}
-	obs.Engine.Add(obs.CtrCellsDecoded, int64(nkeys))
-	c.Add(obs.CtrCellsDecoded, int64(nkeys))
+	obs.Engine.Add(obs.CtrCellsDecoded, int64(len(n.keys)))
+	c.Add(obs.CtrCellsDecoded, int64(len(n.keys)))
+	return n, nil
+}
+
+// decodeNode decodes the page image img of page id into a node. It is
+// total: a page whose bytes cannot be a node — an unknown kind, a cell
+// count the page cannot hold, a cell header or body running past the end,
+// an overflow ref of the wrong size — yields an error wrapping ErrCorrupt
+// that names the page, never a panic.
+//
+// The used prefix of img is copied once into a heap image, and every key
+// and value is a capacity-clipped window onto that copy
+// (image[off:end:end]): a caller's append reallocates instead of writing
+// into the image. A decoded node never aliases img, so img may be reused,
+// and the node can be shared read-only.
+func decodeNode(id PageID, img []byte) (*node, error) {
+	if len(img) < leafHeaderSize {
+		return nil, corruptPage(id, "%d-byte image is shorter than a node header", len(img))
+	}
+	nkeys := int(binary.LittleEndian.Uint16(img[1:]))
+	switch img[0] {
+	case pageLeaf:
+		return decodeLeaf(id, img, nkeys)
+	case pageInternal:
+		return decodeInternal(id, img, nkeys)
+	}
+	return nil, corruptPage(id, "unknown node kind %d", img[0])
+}
+
+// corruptPage builds an ErrCorrupt error naming the page.
+func corruptPage(id PageID, format string, args ...any) error {
+	return fmt.Errorf("%w: page %d: %s", ErrCorrupt, id, fmt.Sprintf(format, args...))
+}
+
+// decodeLeaf decodes a leaf page: a bounds-checking pass finds where the
+// last cell ends, then the cells are sliced out of one copy of that prefix.
+func decodeLeaf(id PageID, img []byte, nkeys int) (*node, error) {
+	if nkeys > (len(img)-leafHeaderSize)/4 { // every cell has a 4-byte header
+		return nil, corruptPage(id, "leaf claims %d cells", nkeys)
+	}
+	end := leafHeaderSize
+	for i := 0; i < nkeys; i++ {
+		if end+4 > len(img) {
+			return nil, corruptPage(id, "leaf cell %d header runs past the page", i)
+		}
+		klen := int(binary.LittleEndian.Uint16(img[end:]))
+		vmeta := binary.LittleEndian.Uint16(img[end+2:])
+		vlen := int(vmeta & 0x7fff)
+		if vmeta&0x8000 != 0 && vlen != overflowRefSize {
+			return nil, corruptPage(id, "leaf cell %d overflow ref is %d bytes, want %d", i, vlen, overflowRefSize)
+		}
+		if end += 4 + klen + vlen; end > len(img) {
+			return nil, corruptPage(id, "leaf cell %d body runs past the page", i)
+		}
+	}
+	image := make([]byte, end)
+	copy(image, img)
+	kv := make([][]byte, 2*nkeys) // keys then values, one allocation
+	n := &node{
+		kind:     pageLeaf,
+		page:     id,
+		keys:     kv[:nkeys:nkeys],
+		vals:     kv[nkeys:],
+		overflow: make([]bool, nkeys),
+	}
+	off := leafHeaderSize
+	for i := 0; i < nkeys; i++ {
+		klen := int(binary.LittleEndian.Uint16(image[off:]))
+		vmeta := binary.LittleEndian.Uint16(image[off+2:])
+		vlen := int(vmeta & 0x7fff)
+		n.overflow[i] = vmeta&0x8000 != 0
+		off += 4
+		n.keys[i] = image[off : off+klen : off+klen]
+		off += klen
+		n.vals[i] = image[off : off+vlen : off+vlen]
+		off += vlen
+	}
+	return n, nil
+}
+
+// decodeInternal decodes an interior page the same way decodeLeaf does:
+// bounds-check every entry first, then slice the separators out of one
+// copy.
+func decodeInternal(id PageID, img []byte, nkeys int) (*node, error) {
+	if len(img) < internalHeaderSize || nkeys > (len(img)-internalHeaderSize)/10 { // 2-byte length + 8-byte child
+		return nil, corruptPage(id, "interior node claims %d separators", nkeys)
+	}
+	end := internalHeaderSize
+	for i := 0; i < nkeys; i++ {
+		if end+2 > len(img) {
+			return nil, corruptPage(id, "interior entry %d header runs past the page", i)
+		}
+		if end += 2 + int(binary.LittleEndian.Uint16(img[end:])) + 8; end > len(img) {
+			return nil, corruptPage(id, "interior entry %d body runs past the page", i)
+		}
+	}
+	image := make([]byte, end)
+	copy(image, img)
+	n := &node{
+		kind:     pageInternal,
+		page:     id,
+		keys:     make([][]byte, nkeys),
+		children: make([]PageID, nkeys+1),
+	}
+	n.children[0] = PageID(binary.LittleEndian.Uint64(image[3:]))
+	off := internalHeaderSize
+	for i := 0; i < nkeys; i++ {
+		klen := int(binary.LittleEndian.Uint16(image[off:]))
+		off += 2
+		n.keys[i] = image[off : off+klen : off+klen]
+		off += klen
+		n.children[i+1] = PageID(binary.LittleEndian.Uint64(image[off:]))
+		off += 8
+	}
 	return n, nil
 }
 
 // readNodeShared is readNodeC for strictly read-only descent paths: it
 // consults the store's decoded-node cache before touching the page, and
-// publishes interior nodes it had to decode. The returned node may be
-// shared with other goroutines — callers must not modify it (the mutation
-// and maintenance paths keep using readNode/readNodeC, whose nodes are
-// private copies they splice in place). Leaves are never cached, so every
-// leaf returned here is a private decode and its vals may be handed out.
+// publishes every node it had to decode, leaves and interior nodes alike
+// (see readcache.go for why a (page, epoch) decode never goes stale). The
+// returned node — and every key and value sliced from it — may be shared
+// with other goroutines, so callers must not modify it. The mutation and
+// maintenance paths keep using readNode/readNodeC, whose nodes are private
+// decodes they splice in place.
 func (t *BTree) readNodeShared(id PageID, c *obs.Counters) (*node, error) {
 	rc := t.store.rcache.Load()
 	if rc == nil {
 		return t.readNodeC(id, c)
 	}
 	epoch := t.cacheEpoch()
-	if n, ok := rc.get(id, epoch); ok {
+	n, gen, ok := rc.get(id, epoch)
+	if ok {
 		obs.Engine.Add(obs.CtrReadCacheHits, 1)
 		c.Add(obs.CtrReadCacheHits, 1)
 		return n, nil
@@ -284,13 +372,9 @@ func (t *BTree) readNodeShared(id PageID, c *obs.Counters) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n.kind == pageInternal {
-		// Only cacheable nodes count as misses, so hits+misses tracks the
-		// interior working set rather than being diluted by leaf reads.
-		obs.Engine.Add(obs.CtrReadCacheMisses, 1)
-		c.Add(obs.CtrReadCacheMisses, 1)
-		rc.put(id, epoch, n)
-	}
+	obs.Engine.Add(obs.CtrReadCacheMisses, 1)
+	c.Add(obs.CtrReadCacheMisses, 1)
+	rc.put(id, epoch, gen, n)
 	return n, nil
 }
 
@@ -310,7 +394,8 @@ func leafIndex(n *node, key []byte) (int, bool) {
 	return pos, pos < len(n.keys) && bytes.Equal(n.keys[pos], key)
 }
 
-// Get returns the value stored under key.
+// Get returns the value stored under key. The value is read-only (see
+// BTree).
 func (t *BTree) Get(key []byte) ([]byte, bool, error) {
 	return t.GetC(key, nil)
 }
@@ -362,7 +447,7 @@ func (t *BTree) Has(key []byte) (bool, error) {
 // instead of k. Results are positional — vals[i]/found[i] answer keys[i]
 // regardless of the internal visit order. The context is checked
 // periodically; engine counters attribute to the request span carried by
-// ctx, if any.
+// ctx, if any. The values are read-only (see BTree).
 func (t *BTree) GetBatch(ctx context.Context, keys [][]byte) ([][]byte, []bool, error) {
 	c := obs.CountersFrom(ctx)
 	vals := make([][]byte, len(keys))
@@ -433,7 +518,7 @@ func (t *BTree) GetBatch(ctx context.Context, keys [][]byte) ([][]byte, []bool, 
 // (or would contain) key, in key order, resolving overflow values. One
 // descent buys the whole leaf: batch-friendly readers harvest the
 // neighbors a point read already paid to decode instead of descending for
-// each of them separately.
+// each of them separately. The keys and values are read-only (see BTree).
 func (t *BTree) GetLeaf(ctx context.Context, key []byte) ([][]byte, [][]byte, error) {
 	c := obs.CountersFrom(ctx)
 	obs.Engine.Add(obs.CtrBTreeDescents, 1)
@@ -779,7 +864,9 @@ func (t *BTree) readOverflow(ref []byte) ([]byte, error) {
 	}
 	id := PageID(binary.LittleEndian.Uint64(ref))
 	total := int(binary.LittleEndian.Uint32(ref[8:]))
-	out := make([]byte, 0, total)
+	// The ref's length is untrusted: reserve at most a megabyte up front
+	// and let append grow past it for genuinely long values.
+	out := make([]byte, 0, min(total, 1<<20))
 	for id != 0 {
 		buf, err := t.store.ReadPage(id)
 		if err != nil {
@@ -792,9 +879,14 @@ func (t *BTree) readOverflow(ref []byte) ([]byte, error) {
 			return nil, ErrSnapshotInvalidated
 		}
 		if buf[0] != pageOverflow {
-			return nil, fmt.Errorf("storage: page %d in overflow chain has kind %d", id, buf[0])
+			return nil, corruptPage(id, "overflow chain page has kind %d", buf[0])
 		}
+		// Every chain page carries at least one byte and the chain carries
+		// exactly total, so these bounds also stop a cyclic chain.
 		n := int(binary.LittleEndian.Uint32(buf[9:]))
+		if n == 0 || n > overflowCapacity || len(out)+n > total {
+			return nil, corruptPage(id, "overflow page holds %d bytes (%d of %d read)", n, len(out), total)
+		}
 		out = append(out, buf[overflowHeaderSize:overflowHeaderSize+n]...)
 		id = PageID(binary.LittleEndian.Uint64(buf[1:]))
 	}
@@ -858,8 +950,8 @@ func (t *BTree) RetireAll() error {
 }
 
 // Cursor iterates leaf entries in ascending key order by keeping the
-// descent path (decoded copies of the root-to-leaf nodes) on a stack.
-// Because every node is a private decoded copy, a cursor is immune to
+// descent path (decoded root-to-leaf nodes) on a stack. Because every
+// node is a decoded copy that no one mutates, a cursor is immune to
 // concurrent pool eviction and — when iterating a snapshot-pinned root —
 // to concurrent writers. A Cursor is for use by one goroutine, but any
 // number of cursors may iterate one tree concurrently. Close releases
@@ -945,10 +1037,11 @@ func (t *BTree) seekC(key []byte, ctr *obs.Counters) (*Cursor, error) {
 // Valid reports whether the cursor references an entry.
 func (c *Cursor) Valid() bool { return c.leaf != nil && c.pos < len(c.leaf.keys) }
 
-// Key returns the current key. Valid must be true.
+// Key returns the current key, read-only. Valid must be true.
 func (c *Cursor) Key() []byte { return c.leaf.keys[c.pos] }
 
-// Value returns the current value, resolving overflow chains.
+// Value returns the current value, resolving overflow chains. The value
+// is read-only.
 func (c *Cursor) Value() ([]byte, error) {
 	v, _, err := c.tree.resolveValue(c.leaf, c.pos)
 	return v, err

@@ -145,10 +145,21 @@ func TestEpochReclamation(t *testing.T) {
 // TestSnapshotReadsDuringWriterRace runs snapshot readers fully overlapped
 // with a writer that keeps rewriting and committing. Run with -race. Each
 // reader must observe its pinned state exactly: all n keys at the value of
-// some single committed generation.
+// some single committed generation. It runs without the read cache and
+// with one small enough to evict, whose shared leaves must still match
+// their pages at the end.
 func TestSnapshotReadsDuringWriterRace(t *testing.T) {
+	for _, cache := range []int64{0, 256 << 10} {
+		t.Run(fmt.Sprintf("cache=%d", cache), func(t *testing.T) {
+			testSnapshotReadsDuringWriterRace(t, cache)
+		})
+	}
+}
+
+func testSnapshotReadsDuringWriterRace(t *testing.T, cache int64) {
 	s := OpenMem()
 	defer s.Close()
+	s.SetReadCacheBytes(cache)
 	tr, err := NewBTree(s)
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +228,9 @@ func TestSnapshotReadsDuringWriterRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckReadCache(); err != nil {
 		t.Fatal(err)
 	}
 }

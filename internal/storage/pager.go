@@ -8,6 +8,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,6 +41,10 @@ var (
 	ErrPageBounds  = errors.New("storage: page id out of bounds")
 	ErrKeyTooLarge = errors.New("storage: key too large")
 	ErrNotFound    = errors.New("storage: key not found")
+	// ErrCorrupt reports page bytes that cannot be what the reader
+	// expects — a node or overflow page whose lengths run past the page,
+	// say. Errors wrapping it name the page.
+	ErrCorrupt = errors.New("storage: corrupt page")
 )
 
 // PageID identifies a page within a page file. Page 0 is the meta page and
@@ -435,12 +440,45 @@ func (s *Store) ReadCacheStats() (entries int, bytes int64) {
 
 // dropCached removes every cached decode of the page. Must be called
 // whenever a page's bytes may change under an id a reader could still look
-// up: on free (the id becomes reallocatable) and on in-place writes of
-// writer-owned pages.
+// up — on free (the id becomes reallocatable), on every write of a page
+// image, and on replicated applies — and only after the new bytes are in
+// the pool, so a reader that decoded the old bytes meanwhile has its put
+// refused (see readcache.go).
 func (s *Store) dropCached(id PageID) {
 	if rc := s.rcache.Load(); rc != nil {
 		rc.drop(id)
 	}
+}
+
+// CheckReadCache verifies that the decoded-node cache agrees with the
+// pages: every cached node must re-encode to the bytes its page holds now.
+// A mismatch means a reader wrote into a shared key or value, or a page
+// changed without dropCached. It holds the store mutex, so no free or
+// page write can interleave; readers keep running.
+func (s *Store) CheckReadCache() error {
+	rc := s.rcache.Load()
+	if rc == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	var page, enc [PageSize]byte
+	for _, e := range rc.entries() {
+		if err := s.pool.ReadInto(e.page, page[:]); err != nil {
+			return fmt.Errorf("storage: read cache check: %w", err)
+		}
+		clear(enc[:])
+		if err := e.n.encode(enc[:]); err != nil {
+			return fmt.Errorf("storage: read cache check: page %d: %w", e.page, err)
+		}
+		if sz := e.n.encodedSize(); !bytes.Equal(enc[:sz], page[:sz]) {
+			return fmt.Errorf("storage: read cache check: page %d: decode cached at epoch %d no longer matches the page", e.page, e.epoch)
+		}
+	}
+	return nil
 }
 
 // Open opens a file-backed store, creating it if absent, and replays any
@@ -621,12 +659,13 @@ func (s *Store) Free(id PageID) error {
 }
 
 func (s *Store) free(id PageID) error {
-	// The id is about to become reallocatable: no reader may resolve a
-	// cached decode of its old contents once it is reused.
-	s.dropCached(id)
 	var buf [PageSize]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(s.meta.freeHead))
-	if err := s.pool.Put(id, buf[:]); err != nil {
+	err := s.pool.Put(id, buf[:])
+	// The id is now reallocatable: no reader may resolve a cached decode
+	// of its old contents once it is reused.
+	s.dropCached(id)
+	if err != nil {
 		return err
 	}
 	s.meta.freeHead = id
@@ -749,7 +788,7 @@ func (s *Store) WritePage(id PageID, buf []byte) error {
 		return ErrClosed
 	}
 	// In-place rewrite: any cached decode of the page is now stale.
-	s.dropCached(id)
+	defer s.dropCached(id)
 	return s.pool.Put(id, buf)
 }
 
@@ -765,14 +804,18 @@ func (s *Store) WriteCOW(id PageID, buf []byte) (PageID, error) {
 	}
 	if _, ok := s.fresh[id]; ok {
 		// Fresh pages are rewritten in place; drop any cached decode.
-		s.dropCached(id)
+		defer s.dropCached(id)
 		return id, s.pool.Put(id, buf)
 	}
 	nid, err := s.allocate()
 	if err != nil {
 		return 0, err
 	}
-	if err := s.pool.Put(nid, buf); err != nil {
+	// nid may be a reused id; free already dropped its old decodes, and
+	// this drop refuses any decode of the free-list bytes in between.
+	err = s.pool.Put(nid, buf)
+	s.dropCached(nid)
+	if err != nil {
 		return 0, err
 	}
 	if err := s.retire(id); err != nil {

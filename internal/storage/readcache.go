@@ -7,25 +7,32 @@ import (
 )
 
 // This file implements the version-keyed decoded-page cache behind the hot
-// read path. The cache holds *decoded* interior B+tree nodes keyed by
-// (PageID, epoch): because copy-on-write commits never modify a published
-// page in place, a (page, epoch) pair names immutable bytes for as long as
-// the page exists, so entries need no invalidation while cached — they are
-// only dropped when something makes the page id reusable or writer-mutable:
+// read path. The cache holds *decoded* B+tree nodes — leaves and interior
+// nodes alike — keyed by (PageID, epoch): because copy-on-write commits
+// never modify a published page in place, a (page, epoch) pair names
+// immutable bytes for as long as the page exists, so entries need no
+// invalidation while cached. They are only dropped when something makes
+// the page id reusable or rewrites its bytes:
 //
 //   - Store.free: the page returns to the free list (epoch reclamation,
 //     explicit frees, reclamation sweeps) and its id may be reallocated
 //     with different contents.
-//   - Store.WritePage / the fresh branch of Store.WriteCOW: the writer
-//     rewrites a page it owns in place (fresh pages are writer-mutable
-//     until the next commit).
+//   - Store.WritePage and Store.WriteCOW: the writer rewrites a page it
+//     owns in place, or lands a copy-on-write image on a reused id.
+//   - Store.ApplyReplicated: a follower installs the primary's images.
 //
-// Leaves are deliberately not cached: leaf values are returned to callers
-// by reference (BTree.resolveValue aliases node.vals), so sharing decoded
-// leaves across goroutines would tie those value slices' lifetimes to the
-// cache's eviction policy. Interior nodes carry only routing state
-// (separator keys and child ids) and are read strictly read-only by the
-// descent paths, making them safe to share once published here.
+// Each of those drops the page after its new bytes are in the pool, and
+// every drop bumps its shard's generation. A reader that missed records
+// the generation before reading the page, and put refuses the decode if a
+// drop has happened on that shard since: a decode of bytes that changed
+// under the reader is never published.
+//
+// A decoded node is one heap copy of the page's used bytes; keys and
+// values are capacity-clipped windows onto it (see decodeNode). Cached
+// nodes are shared by every goroutine reading that (page, epoch), and the
+// values BTree reads return alias them, so those values are read-only.
+// Store.CheckReadCache verifies that nobody broke the rule: every cached
+// node must still re-encode to its page's bytes.
 //
 // The cache is sharded to keep it lock-light: each shard is an
 // independently locked LRU with its own slice of the byte budget, and a
@@ -53,9 +60,10 @@ type rcShard struct {
 	tail  *rcEntry // least recently used
 	used  int64
 	limit int64
+	gen   uint64 // bumped by every drop; see put
 }
 
-// readCache is a bounded, sharded cache of decoded interior nodes. All
+// readCache is a bounded, sharded cache of decoded B+tree nodes. All
 // methods are safe for concurrent use.
 type readCache struct {
 	shards [readCacheShards]rcShard
@@ -82,41 +90,43 @@ func (c *readCache) shardFor(id PageID) *rcShard {
 	return &c.shards[h>>(64-4)]          // top 4 bits: 16 shards
 }
 
-// nodeCost approximates the resident footprint of a decoded interior node:
-// struct and slice headers plus key bytes and child ids.
+// nodeCost approximates the resident footprint of a decoded node: the
+// node struct, its page image (the encoded bytes the keys and values
+// slice), one slice header per key and value, and the child ids and
+// overflow flags.
 func nodeCost(n *node) int64 {
-	cost := int64(96) // node struct + slice headers, roughly
-	for _, k := range n.keys {
-		cost += int64(len(k)) + 24 // backing array + slice header
-	}
-	cost += int64(len(n.children)) * 8
-	return cost
+	return 96 + int64(n.encodedSize()) +
+		24*int64(len(n.keys)+len(n.vals)) +
+		8*int64(len(n.children)) + int64(len(n.overflow))
 }
 
 // get returns the cached node for (id, epoch) and marks it most recently
 // used. The returned node is shared: callers must treat it as immutable.
-func (c *readCache) get(id PageID, epoch uint64) (*node, bool) {
+// On a miss it returns the shard's drop generation, which the caller
+// hands back to put with the node it decodes.
+func (c *readCache) get(id PageID, epoch uint64) (*node, uint64, bool) {
 	sh := c.shardFor(id)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	e, ok := sh.pages[id][epoch]
 	if !ok {
-		sh.mu.Unlock()
-		return nil, false
+		return nil, sh.gen, false
 	}
 	sh.moveToFront(e)
-	n := e.n
-	sh.mu.Unlock()
-	return n, true
+	return e.n, 0, true
 }
 
 // put publishes a decoded node under (id, epoch), evicting from the cold
-// end of the shard until it fits. Nodes larger than the shard budget are
-// not cached. Racing puts of the same key keep the first entry.
-func (c *readCache) put(id PageID, epoch uint64, n *node) {
+// end of the shard until it fits. gen is the drop generation get reported
+// before the page was read: if the shard has seen a drop since, the page
+// may have changed under the decode, so it is not cached. Nodes larger
+// than the shard budget are not cached either. Racing puts of the same
+// key keep the first entry.
+func (c *readCache) put(id PageID, epoch, gen uint64, n *node) {
 	cost := nodeCost(n)
 	sh := c.shardFor(id)
 	sh.mu.Lock()
-	if cost > sh.limit {
+	if cost > sh.limit || gen != sh.gen {
 		sh.mu.Unlock()
 		return
 	}
@@ -143,11 +153,14 @@ func (c *readCache) put(id PageID, epoch uint64, n *node) {
 	}
 }
 
-// drop removes every epoch's entry for the page. Called when the page
-// returns to the free list or is rewritten in place by the writer.
+// drop removes every epoch's entry for the page and bumps the shard's
+// generation, so a decode of the old bytes still in flight is not
+// published either. Called after the page's bytes change or its id
+// becomes reusable (see the file comment).
 func (c *readCache) drop(id PageID) {
 	sh := c.shardFor(id)
 	sh.mu.Lock()
+	sh.gen++
 	for _, e := range sh.pages[id] {
 		sh.removeLocked(e)
 	}
@@ -166,6 +179,20 @@ func (c *readCache) stats() (entries int, bytes int64) {
 		sh.mu.Unlock()
 	}
 	return entries, bytes
+}
+
+// entries lists every cached (page, epoch, node) across all shards.
+func (c *readCache) entries() []rcEntry {
+	var out []rcEntry
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for e := sh.head; e != nil; e = e.next {
+			out = append(out, rcEntry{page: e.page, epoch: e.epoch, n: e.n})
+		}
+		sh.mu.Unlock()
+	}
+	return out
 }
 
 // pushFront links a new entry at the hot end. Callers hold sh.mu.

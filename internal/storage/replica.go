@@ -245,8 +245,9 @@ func (s *Store) ApplyReplicated(epoch uint64, pages []DirtyPage) error {
 			}
 		}
 		// The id may be a reuse of a page some cached decode still names.
+		err := s.pool.Put(p.ID, p.Data)
 		s.dropCached(p.ID)
-		if err := s.pool.Put(p.ID, p.Data); err != nil {
+		if err != nil {
 			s.mu.Unlock()
 			return err
 		}

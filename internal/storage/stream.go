@@ -22,7 +22,8 @@ const cancelCheckInterval = 128
 // above bottoms out in.
 //
 // Like cursor iteration, Scan is safe for any number of concurrent readers
-// of the same tree.
+// of the same tree. The keys and values handed to fn are read-only (see
+// BTree).
 func (t *BTree) Scan(ctx context.Context, start []byte, fn func(key, value []byte) (bool, error)) error {
 	// Once the context is done, any failure is reported as the context's
 	// error: a cancelled reader whose snapshot pins were already released

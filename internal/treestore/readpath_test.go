@@ -29,18 +29,25 @@ func total(root *obs.Span, name string) int64 {
 }
 
 // TestProjectCacheCutsDecodesAndDescents is the headline acceptance check
-// for the hot read path: on a 10k-leaf tree, a warm k=50 projection with
-// the decoded-node cache enabled must stay within absolute work bounds —
-// a third of the B+tree descents and decoded cells the old per-row read
-// path spent on the same projection (1145 and 225,139) — while producing
-// the in-memory planner's tree.
+// for the hot read path on a 10k-leaf tree, k=50 projection:
+//
+//   - cold (a freshly installed decoded-node cache), it must stay within a
+//     third of the B+tree descents and decoded cells the old per-row read
+//     path spent on the same projection (1145 and 225,139);
+//   - warm, every node comes from the cache: no cell is decoded, the
+//     descents are the cold run's (the batch and the memo decide those,
+//     not the cache), and a projection makes at most a fifth of the
+//     45,502 allocations it made when leaves were decoded on every read;
+//
+// and both runs must produce the in-memory planner's tree.
 func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-leaf tree load")
 	}
 	const (
-		maxDescents = 1145 / 3
-		maxCells    = 225139 / 3
+		maxDescents   = 1145 / 3
+		maxCells      = 225139 / 3
+		maxWarmAllocs = 45502 / 5
 	)
 	gold, err := treegen.Yule(10000, 1.0, rand.New(rand.NewSource(11)))
 	if err != nil {
@@ -48,7 +55,6 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	}
 	s := OpenMem()
 	defer s.Close()
-	s.dbs[0].Store().SetReadCacheBytes(64 << 20)
 	st, err := s.Load("big", gold, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -61,20 +67,6 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	for i, n := range sel {
 		ids[i] = n.ID
 	}
-
-	// One warm-up run so the interior working set is resident, then the
-	// measured run.
-	if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
-		t.Fatal(err)
-	}
-	ctx, span := counterCtx()
-	got, err := st.ProjectCtx(ctx, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	descents := total(span, "btree_descents")
-	cells := total(span, "cells_decoded")
-
 	ix, err := core.Build(gold, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -83,16 +75,49 @@ func TestProjectCacheCutsDecodesAndDescents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !phylo.Equal(got, want, 1e-9) {
-		t.Fatal("stored projection differs from the in-memory planner's")
+	// measure runs one counted projection and checks its answer.
+	measure := func(run string) (descents, cells int64) {
+		t.Helper()
+		ctx, span := counterCtx()
+		got, err := st.ProjectCtx(ctx, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !phylo.Equal(got, want, 1e-9) {
+			t.Fatalf("%s: stored projection differs from the in-memory planner's", run)
+		}
+		return total(span, "btree_descents"), total(span, "cells_decoded")
 	}
+
+	s.dbs[0].Store().SetReadCacheBytes(64 << 20) // a fresh, empty cache
+	descents, cells := measure("cold")
 	if descents == 0 || descents > maxDescents {
-		t.Fatalf("btree_descents = %d, want 1..%d", descents, maxDescents)
+		t.Fatalf("cold: btree_descents = %d, want 1..%d", descents, maxDescents)
 	}
 	if cells == 0 || cells > maxCells {
-		t.Fatalf("cells_decoded = %d, want 1..%d", cells, maxCells)
+		t.Fatalf("cold: cells_decoded = %d, want 1..%d", cells, maxCells)
 	}
-	t.Logf("descents=%d (bound %d); cells=%d (bound %d)", descents, maxDescents, cells, maxCells)
+
+	warmDescents, warmCells := measure("warm")
+	if warmCells != 0 {
+		t.Fatalf("warm: cells_decoded = %d, want 0", warmCells)
+	}
+	if warmDescents != descents {
+		t.Fatalf("warm: btree_descents = %d, want the cold run's %d", warmDescents, descents)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := st.ProjectCtx(context.Background(), ids); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxWarmAllocs {
+		t.Fatalf("warm: %.0f allocs per projection, want <= %d", allocs, maxWarmAllocs)
+	}
+	if err := s.dbs[0].Check(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("descents=%d (bound %d); cold cells=%d (bound %d); warm allocs=%.0f (bound %d)",
+		descents, maxDescents, cells, maxCells, allocs, maxWarmAllocs)
 }
 
 // oracleNodes maps preorder ids to the in-memory tree's nodes.
@@ -112,7 +137,8 @@ func oracleNodes(gold *phylo.Tree, ids []int) []*phylo.Node {
 // row's full Node), and must also match the in-memory implementations:
 // project.Planner for the projection, core.Index for the LCAs and the
 // clade root, and the gold tree itself for the export and the clade's
-// members.
+// members. Each cache size ends with the database check, which includes
+// the read cache's coherence check.
 func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 	const fanout = 4
 	gold, err := treegen.Yule(2000, 1.0, rand.New(rand.NewSource(21)))
@@ -253,6 +279,11 @@ func TestQueriesByteIdenticalAcrossCacheSizes(t *testing.T) {
 						t.Fatalf("pass %d: lca[%d] = %d, uncached run %d", pass, i, got.lcas[i], ref.lcas[i])
 					}
 				}
+			}
+			// The decodes the two passes cached must still match their
+			// pages.
+			if err := s.dbs[0].Check(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -961,9 +961,9 @@ func (t *Tree) cell(ctx context.Context, memo *cellMemo, k, id int) (layerCell, 
 }
 
 // nodeRow fetches a full layer-0 node row through the request memo (if
-// any): on the memoized path one descent harvests the whole storage leaf
-// around the row, so the walk's repeat visits to nearby ancestors become
-// map hits instead of descents.
+// any): a miss is one point read (one descent), and the row and its
+// layer-0 cell are memoized, so the walk's repeat visits to the same
+// ancestor become map hits instead of descents.
 func (t *Tree) nodeRow(ctx context.Context, memo *cellMemo, id int) (Node, error) {
 	if n, ok := memo.getRow(id); ok {
 		return n, nil

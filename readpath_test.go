@@ -22,7 +22,8 @@ import (
 // keeps reading the original version. The cache keys by (page, epoch), so
 // the snapshot must keep seeing the old tree bit-for-bit while live
 // readers only ever see a complete version — old or new, never torn.
-// Runs at 1 and 4 shards; the -race build is the point of this test.
+// Runs at 1 and 4 shards; the -race build is the point of this test. It
+// ends with repo.Check, which also verifies the read cache is coherent.
 func TestReadCacheChurnSnapshotIsolation(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -165,6 +166,12 @@ func TestReadCacheChurnSnapshotIsolation(t *testing.T) {
 			}
 			if entries, bytes := repo.ReadCacheStats(); entries > 0 && bytes <= 0 {
 				t.Fatalf("cache stats inconsistent: %d entries, %d bytes", entries, bytes)
+			}
+			// Every decode the churn left cached must still match its page:
+			// no reader wrote into a shared value, no page changed under a
+			// cached decode.
+			if err := repo.Check(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
